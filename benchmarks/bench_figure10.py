@@ -7,8 +7,6 @@ representations at the L extremes and asserts the crossover shape;
 
 from dataclasses import asdict
 
-import pytest
-
 from repro.eval.spmv_experiment import (crossover_locality, format_figure10,
                                         run_figure10)
 from repro.obs import benchmark_run

@@ -99,6 +99,22 @@ class PageTable:
         self._entries[vpn] = pte
         return pte
 
+    def map_shared(self, start_vpn: int, npages: int, ppn: int, *,
+                   overlays_enabled: bool = True) -> PTE:
+        """Map a range of 4KB pages read-only/CoW onto one shared frame.
+
+        The *npages* pages from *start_vpn* all hold the same frozen PTE
+        for *ppn*; :meth:`update` replaces an entry rather than editing
+        it, so sharing the instance is safe.  The entry is never
+        writable: a store to any page must fault rather than change the
+        frame every other page maps.
+        """
+        pte = PTE(ppn=ppn, writable=False, cow=True,
+                  overlays_enabled=overlays_enabled)
+        self._entries.update(dict.fromkeys(
+            range(start_vpn, start_vpn + npages), pte))
+        return pte
+
     def map_superpage(self, base_vpn: int, base_ppn: int, *,
                       writable: bool = True, cow: bool = False,
                       overlays_enabled: bool = True) -> PTE:

@@ -11,6 +11,7 @@ which copy-on-write policy runs.
 from __future__ import annotations
 
 from dataclasses import dataclass
+from itertools import repeat
 from typing import Dict, List, Optional, Set, Tuple
 
 from .physalloc import FrameAllocator
@@ -93,6 +94,28 @@ class Kernel:
                 self.system.main_memory.write_page(ppn, page)
             frames.append(ppn)
         return frames
+
+    def map_shared(self, process: Process, start_vpn: int, npages: int,
+                   ppn: int) -> None:
+        """Map a range of pages read-only/copy-on-write onto one frame.
+
+        The *npages* pages from *start_vpn* all map the allocated frame
+        *ppn* (e.g. a shared zero page).  Each mapping takes its own
+        reference to *ppn*, as ``fork`` does, so unmapping them one by
+        one frees the frame with the last.  Raises ``ValueError`` before
+        changing anything if a page of the range is already mapped.
+        """
+        vpns = range(start_vpn, start_vpn + npages)
+        if not process.mappings.keys().isdisjoint(vpns):
+            vpn = next(vpn for vpn in vpns if vpn in process.mappings)
+            raise ValueError(f"VPN {vpn:#x} already mapped in pid {process.pid}")
+        self.allocator.share(ppn, npages)
+        process.page_table.map_shared(
+            start_vpn, npages, ppn,
+            overlays_enabled=self.system.overlays_enabled)
+        process.mappings.update(dict.fromkeys(vpns, ppn))
+        self.frame_users.setdefault(ppn, set()).update(
+            zip(repeat(process.asid), vpns))
 
     def munmap(self, process: Process, start_vpn: int, npages: int) -> None:
         for i in range(npages):

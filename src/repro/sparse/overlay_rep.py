@@ -79,25 +79,21 @@ class OverlaySparseMatrix:
 
     def _line_bytes(self, flat_line: int) -> bytes:
         """Pack the 8 doubles of dense line *flat_line*."""
-        cols = self.pattern.cols
-        values = []
-        base = flat_line * VALUES_PER_LINE
-        for offset in range(VALUES_PER_LINE):
-            flat = base + offset
-            values.append(self.pattern.get(flat // cols, flat % cols))
-        return struct.pack(f"<{VALUES_PER_LINE}d", *values)
+        # Lines never cross rows (``__init__`` checks), so one row holds
+        # all eight values.
+        row, first = divmod(flat_line * VALUES_PER_LINE, self.pattern.cols)
+        row_data = self.pattern.data.get(row, {})
+        return struct.pack(f"<{VALUES_PER_LINE}d", *[
+            row_data.get(col, 0.0)
+            for col in range(first, first + VALUES_PER_LINE)])
 
     def build(self, kernel, process, base_vpn: int) -> None:
         """Map all pages to one zero frame and install non-zero overlays."""
         system = kernel.system
         self.zero_ppn = kernel.allocator.allocate()  # the shared zero page
-        for page_index in range(self.npages):
-            vpn = base_vpn + page_index
-            system.map_page(process.asid, vpn, self.zero_ppn,
-                            writable=False, cow=True)
-            process.mappings[vpn] = self.zero_ppn
-            kernel.frame_users.setdefault(self.zero_ppn, set()).add(
-                (process.asid, vpn))
+        kernel.map_shared(process, base_vpn, self.npages, self.zero_ppn)
+        # The mappings now hold the frame; drop the allocation reference.
+        kernel.allocator.release(self.zero_ppn)
         for flat_line in self.pattern.nonzero_lines():
             vpn = base_vpn + flat_line // LINES_PER_PAGE
             line = flat_line % LINES_PER_PAGE

@@ -7,7 +7,6 @@ sorted by L) and the Section 5.2 sparsity sweep (overlay vs dense).
 
 from __future__ import annotations
 
-import struct
 from dataclasses import dataclass
 from typing import Optional
 
@@ -60,7 +59,7 @@ def _build_vectors(kernel: Kernel, process, cols: int, rows: int,
     y_pages = (rows * VALUE_BYTES + PAGE_SIZE - 1) // PAGE_SIZE
     x_frames = kernel.mmap(process, X_BASE_VPN, x_pages)
     kernel.mmap(process, Y_BASE_VPN, y_pages)
-    raw = struct.pack(f"<{cols}d", *x)
+    raw = np.asarray(x, dtype="<f8").tobytes()
     for page_index, ppn in enumerate(x_frames):
         chunk = raw[page_index * PAGE_SIZE:(page_index + 1) * PAGE_SIZE]
         kernel.system.main_memory.write_page(
@@ -84,6 +83,9 @@ def run_spmv(pattern: MatrixPattern, representation: str,
                          f"choose from {sorted(REPRESENTATIONS)}")
     if x is None:
         x = np.ones(pattern.cols)
+    elif len(x) != pattern.cols:
+        raise ValueError(f"x has {len(x)} entries; the {pattern.rows}x"
+                         f"{pattern.cols} matrix needs {pattern.cols}")
 
     kernel = Kernel(omt_cache_entries=omt_cache_entries)
     process = kernel.create_process()

@@ -84,6 +84,22 @@ class TestBasicMapping:
         assert len(table) == 2
         assert sorted(table.mapped_vpns()) == [1, 2]
 
+    def test_map_shared_maps_a_range_onto_one_frame(self):
+        table = PageTable(asid=1)
+        table.map_shared(0x10, 4, 0x99)
+        assert len(table) == 4
+        for vpn in range(0x10, 0x14):
+            assert table.entry(vpn) == PTE(ppn=0x99, writable=False,
+                                           cow=True)
+        assert table.entry(0x14) is None
+
+    def test_update_of_a_shared_entry_leaves_the_others(self):
+        table = PageTable(asid=1)
+        table.map_shared(0x10, 2, 0x99)
+        table.update(0x10, ppn=0x42, writable=True, cow=False)
+        assert table.entry(0x10).ppn == 0x42
+        assert table.entry(0x11) == PTE(ppn=0x99, writable=False, cow=True)
+
 
 class TestSuperpages:
     def test_map_superpage_and_walk(self):

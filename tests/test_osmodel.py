@@ -97,6 +97,40 @@ class TestKernelBasics:
         assert kernel.allocator.frames_in_use >= 16  # the startup grant
 
 
+class TestMapShared:
+    def test_read_only_cow_pages_with_one_reference_each(self, kernel):
+        process = kernel.create_process()
+        ppn = kernel.allocator.allocate()
+        kernel.map_shared(process, 0x200, 4, ppn)
+        pte = process.page_table.entry(0x203)
+        assert (pte.ppn, pte.writable, pte.cow) == (ppn, False, True)
+        assert process.mappings == dict.fromkeys(range(0x200, 0x204), ppn)
+        assert kernel.allocator.refcount(ppn) == 5
+        assert kernel.frame_users[ppn] == {(process.asid, vpn)
+                                           for vpn in range(0x200, 0x204)}
+        kernel.allocator.release(ppn)  # the allocation reference
+        kernel.munmap(process, 0x200, 4)
+        assert kernel.allocator.refcount(ppn) == 0
+        assert ppn not in kernel.frame_users
+
+    def test_rejects_mapped_vpns_and_changes_nothing(self, kernel, process):
+        ppn = kernel.allocator.allocate()
+        with pytest.raises(ValueError) as mmap_error:
+            kernel.mmap(process, 0x107, 1)
+        mappings = dict(process.mappings)
+        users = {p: set(u) for p, u in kernel.frame_users.items()}
+        entries = len(process.page_table)
+        with pytest.raises(ValueError) as shared_error:
+            kernel.map_shared(process, 0x0fe, 16, ppn)
+        assert str(shared_error.value) == str(mmap_error.value).replace(
+            "0x107", "0x100")
+        assert process.mappings == mappings
+        assert kernel.frame_users == users
+        assert len(process.page_table) == entries
+        assert process.page_table.entry(0x0fe) is None
+        assert kernel.allocator.refcount(ppn) == 1
+
+
 class TestFork:
     def test_child_shares_frames_cow(self, kernel, process):
         child = kernel.fork(process)

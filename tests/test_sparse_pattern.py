@@ -60,6 +60,16 @@ class TestPattern:
         assert m2.nonzero_blocks(64) == 2
         assert m2.nonzero_blocks(4096) == 1
 
+    @pytest.mark.parametrize("block_bytes", [8, 64, 128, 4096])
+    def test_block_counts_match_the_entries_definition(self, block_bytes):
+        m = generate_with_locality(16, 512, nnz=300, locality=3.0, seed=4)
+        per_block = block_bytes // 8
+        blocks = {m.flat_index(row, col) // per_block
+                  for row, col, _ in m.entries()}
+        assert m.nonzero_blocks(block_bytes) == len(blocks)
+        if block_bytes == 64:
+            assert m.nonzero_lines() == sorted(blocks)
+
     def test_density(self):
         m = MatrixPattern(rows=10, cols=10)
         m.set(0, 0, 1.0)

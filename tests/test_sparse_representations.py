@@ -1,5 +1,7 @@
 """Tests for the three sparse representations: dense, CSR, overlay."""
 
+import struct
+
 import numpy as np
 import pytest
 
@@ -10,7 +12,8 @@ from repro.sparse.dense import DenseMatrix
 from repro.sparse.matrix_gen import generate_with_locality, random_uniform
 from repro.sparse.overlay_rep import OverlaySparseMatrix
 from repro.sparse.pattern import MatrixPattern
-from repro.sparse.spmv import MATRIX_BASE_VPN, ideal_memory_bytes, run_spmv
+from repro.sparse.spmv import (MATRIX_BASE_VPN, X_BASE_VPN, _build_vectors,
+                               ideal_memory_bytes, run_spmv)
 
 
 @pytest.fixture
@@ -119,6 +122,42 @@ class TestOverlayRepresentation:
                                  MATRIX_BASE_VPN + rep.npages)}
         assert ppns == {rep.zero_ppn}
 
+    def test_bulk_mapping_state_equals_the_per_page_loop(self):
+        matrix = generate_with_locality(8, 1024, nnz=60, locality=2.0,
+                                        seed=3)
+        kernel, process, rep = self.build(matrix)
+        # Reference: the page-at-a-time mapping loop build used to run.
+        ref_kernel = Kernel()
+        ref_process = ref_kernel.create_process()
+        zero_ppn = ref_kernel.allocator.allocate()
+        for page_index in range(rep.npages):
+            vpn = MATRIX_BASE_VPN + page_index
+            ref_kernel.system.map_page(ref_process.asid, vpn, zero_ppn,
+                                       writable=False, cow=True)
+            ref_process.mappings[vpn] = zero_ppn
+            ref_kernel.frame_users.setdefault(zero_ppn, set()).add(
+                (ref_process.asid, vpn))
+        assert rep.zero_ppn == zero_ppn
+        for vpn in range(MATRIX_BASE_VPN, MATRIX_BASE_VPN + rep.npages):
+            assert (process.page_table.entry(vpn)
+                    == ref_process.page_table.entry(vpn))
+        assert process.mappings == ref_process.mappings
+        assert (kernel.frame_users[zero_ppn]
+                == ref_kernel.frame_users[zero_ppn])
+        assert len(process.page_table) == len(ref_process.page_table)
+        x = np.random.RandomState(1).rand(matrix.cols)
+        assert np.allclose(rep.multiply_in_simulator(x), rep.multiply(x))
+
+    def test_exit_frees_the_zero_page(self):
+        matrix = generate_with_locality(8, 1024, nnz=60, locality=2.0,
+                                        seed=3)
+        kernel, process, rep = self.build(matrix)
+        assert kernel.allocator.refcount(rep.zero_ppn) == rep.npages
+        kernel.exit_process(process)
+        assert kernel.allocator.refcount(rep.zero_ppn) == 0
+        assert rep.zero_ppn not in kernel.frame_users
+        assert not process.mappings
+
     def test_zero_lines_read_zero_through_framework(self, matrix):
         kernel, process, rep = self.build(matrix)
         zero_lines = (set(range(rep.npages * 64))
@@ -176,6 +215,18 @@ class TestSpMVHarness:
     def test_unknown_representation_rejected(self, matrix):
         with pytest.raises(ValueError):
             run_spmv(matrix, "coo")
+
+    def test_x_length_must_match_columns(self, matrix):
+        with pytest.raises(ValueError, match="x has 255 entries"):
+            run_spmv(matrix, "overlay", x=np.ones(matrix.cols - 1))
+
+    def test_x_vector_is_packed_as_little_endian_doubles(self, matrix, x):
+        kernel = Kernel()
+        process = kernel.create_process()
+        _build_vectors(kernel, process, matrix.cols, matrix.rows, x)
+        ppn = process.mappings[X_BASE_VPN]
+        assert (kernel.system.main_memory.read_bytes(ppn, 0, len(x) * 8)
+                == struct.pack(f"<{len(x)}d", *x))
 
     def test_ideal_memory(self, matrix):
         assert ideal_memory_bytes(matrix) == matrix.nnz * 8
