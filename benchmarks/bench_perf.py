@@ -18,12 +18,11 @@ The loops cover the paths the tier-1 suite leans on hardest:
 All timings are host wall clock by design; simulated time is asserted
 untouched (the hot loops are deterministic under the stock seed).
 
-Each loop is timed once per execution-engine mode (``scalar`` and
-``batched`` — see ``repro.engine.batch``), and every entry is tagged
-with its ``engine`` so the history can chart both modes.  ``--engine``
-narrows the sweep to one mode; ``--gate-fork-speedup R`` makes the run
-fail unless the fresh *batched* ``fork_core_run`` is at least R× faster
-than the committed scalar baseline entry, which is the CI perf gate.
+Each loop is timed once, on the simulator's one execution path, and
+every entry is tagged ``"engine": "scalar"`` like the history it joins.
+``--gate-fork-speedup R`` makes the run fail unless the fresh
+``fork_core_run`` is at least R× faster than the frozen committed
+baseline entry, which is the CI perf gate.
 """
 
 import json
@@ -31,13 +30,14 @@ import sys
 import time
 from pathlib import Path
 
-from repro.engine.batch import default_engine_mode, set_default_engine_mode
 from repro.eval.fork_experiment import run_benchmark
 from repro.eval.remap_latency import measure_remap_latency
 from repro.obs import RunManifest
 
 DEFAULT_REPEATS = 3
-ENGINE_MODES = ("scalar", "batched")
+#: Engine tag on every fresh entry: the one execution path.  Tagged
+#: entries never become the frozen baseline (see committed_baseline).
+ENGINE_PATH = "scalar"
 RESULTS_PATH = Path(__file__).resolve().parent.parent / "BENCH_perf.json"
 
 
@@ -80,43 +80,32 @@ def time_loop(fn, repeats: int = DEFAULT_REPEATS):
     return samples
 
 
-def run_perf(repeats: int = DEFAULT_REPEATS, loops=None,
-             engines=ENGINE_MODES):
-    """One datapoint per (hot loop, engine mode), ready to append."""
+def run_perf(repeats: int = DEFAULT_REPEATS, loops=None):
+    """One datapoint per hot loop, ready to append."""
     manifest = RunManifest.create("bench_perf")
     entries = []
-    previous_mode = default_engine_mode()
-    try:
-        for mode in engines:
-            set_default_engine_mode(mode)
-            for name, fn in (loops or HOT_LOOPS):
-                samples = time_loop(fn, repeats)
-                entries.append({
-                    "bench": name,
-                    "engine": mode,
-                    "best_seconds": round(min(samples), 6),
-                    "mean_seconds": round(sum(samples) / len(samples), 6),
-                    "repeats": len(samples),
-                    "python": manifest.python,
-                    "platform": manifest.platform,
-                    "started_at": manifest.started_at,
-                })
-    finally:
-        set_default_engine_mode(previous_mode)
+    for name, fn in (loops or HOT_LOOPS):
+        samples = time_loop(fn, repeats)
+        entries.append({
+            "bench": name,
+            "engine": ENGINE_PATH,
+            "best_seconds": round(min(samples), 6),
+            "mean_seconds": round(sum(samples) / len(samples), 6),
+            "repeats": len(samples),
+            "python": manifest.python,
+            "platform": manifest.platform,
+            "started_at": manifest.started_at,
+        })
     return entries
 
 
 def committed_baseline(bench: str, path: Path = RESULTS_PATH):
-    """``best_seconds`` of the newest *pre-engine-split* entry for *bench*.
+    """``best_seconds`` of the newest *untagged* entry for *bench*.
 
-    Entries written before the engine split carry no ``engine`` key;
-    they are the frozen scalar history the batched gate measures
-    against.  Tagged entries (including fresh ``scalar`` ones) are
-    excluded on purpose: the per-access machinery shared by both modes
-    was optimised alongside the batched drain loop, so a same-commit
-    scalar run is itself several times faster than the committed
-    history and would make the gate compare the engine against a moving
-    target instead of the state of the repo before the work.
+    The untagged entries (no ``engine`` key) are the frozen history the
+    gate measures against; every later entry is tagged and excluded on
+    purpose, so the gate compares against the state of the repo before
+    the hot-path work instead of a moving target.
     """
     if not path.exists():
         return None
@@ -129,21 +118,20 @@ def committed_baseline(bench: str, path: Path = RESULTS_PATH):
 
 def gate_fork_speedup(entries, minimum: float,
                       baseline_path: Path = RESULTS_PATH) -> int:
-    """Fail (return 1) unless fresh batched fork_core_run is at least
-    *minimum*× faster than the committed scalar baseline."""
+    """Fail (return 1) unless fresh fork_core_run is at least *minimum*×
+    faster than the committed baseline."""
     baseline = committed_baseline("fork_core_run", baseline_path)
     if baseline is None:
-        print("gate: no committed scalar fork_core_run baseline")
+        print("gate: no committed fork_core_run baseline")
         return 1
-    fresh = [e for e in entries
-             if e["bench"] == "fork_core_run" and e["engine"] == "batched"]
+    fresh = [e for e in entries if e["bench"] == "fork_core_run"]
     if not fresh:
-        print("gate: no fresh batched fork_core_run datapoint")
+        print("gate: no fresh fork_core_run datapoint")
         return 1
     best = min(e["best_seconds"] for e in fresh)
     speedup = baseline / best
     verdict = "pass" if speedup >= minimum else "FAIL"
-    print(f"gate: batched fork_core_run {best:.3f}s vs committed scalar "
+    print(f"gate: fork_core_run {best:.3f}s vs committed baseline "
           f"{baseline:.3f}s = {speedup:.2f}x (need >= {minimum:.1f}x): "
           f"{verdict}")
     return 0 if speedup >= minimum else 1
@@ -164,7 +152,6 @@ def main(argv=None) -> int:
     args = list(sys.argv[1:] if argv is None else argv)
     repeats = DEFAULT_REPEATS
     out = RESULTS_PATH
-    engines = ENGINE_MODES
     gate_minimum = None
     i = 0
     while i < len(args):
@@ -174,28 +161,19 @@ def main(argv=None) -> int:
         elif args[i] == "--out" and i + 1 < len(args):
             out = Path(args[i + 1])
             i += 2
-        elif args[i] == "--engine" and i + 1 < len(args):
-            if args[i + 1] not in ENGINE_MODES:
-                print(f"--engine must be one of {ENGINE_MODES}")
-                return 2
-            engines = (args[i + 1],)
-            i += 2
         elif args[i] == "--gate-fork-speedup" and i + 1 < len(args):
             gate_minimum = float(args[i + 1])
             i += 2
         else:
             print("usage: bench_perf.py [--repeats N] [--out FILE] "
-                  "[--engine scalar|batched] [--gate-fork-speedup R]")
+                  "[--gate-fork-speedup R]")
             return 2
-    if gate_minimum is not None and "batched" not in engines:
-        print("--gate-fork-speedup needs a batched run")
-        return 2
     # The gate reads the *committed* history, so snapshot the baseline
     # before this run appends its own entries.
-    entries = run_perf(repeats, engines=engines)
+    entries = run_perf(repeats)
     width = max(len(entry["bench"]) for entry in entries)
     for entry in entries:
-        print(f"{entry['bench']:<{width}} [{entry['engine']:<7}]  "
+        print(f"{entry['bench']:<{width}}  "
               f"best {entry['best_seconds']:8.3f}s  "
               f"mean {entry['mean_seconds']:8.3f}s  "
               f"x{entry['repeats']}")
@@ -211,23 +189,20 @@ def main(argv=None) -> int:
 def test_perf_entries_well_formed(tmp_path):
     """The quick loops produce positive timings and the file appends."""
     quick = [pair for pair in HOT_LOOPS if pair[0] != "fork_core_run"]
-    mode_before = default_engine_mode()
     entries = run_perf(repeats=1, loops=quick)
     assert ([(e["bench"], e["engine"]) for e in entries]
-            == [(name, mode) for mode in ENGINE_MODES
-                for name, _ in quick])
+            == [(name, ENGINE_PATH) for name, _ in quick])
     assert all(e["best_seconds"] > 0 for e in entries)
-    assert default_engine_mode() == mode_before  # restored after the sweep
     out = tmp_path / "BENCH_perf.json"
     append_results(entries, out)
     append_results(entries, out)
     doc = json.loads(out.read_text())
     assert doc["format"] == 1
-    assert len(doc["entries"]) == 2 * len(ENGINE_MODES) * len(quick)
+    assert len(doc["entries"]) == 2 * len(quick)
 
 
 def test_fork_speedup_gate(tmp_path):
-    """The gate passes on a fast batched run, fails on a slow one."""
+    """The gate passes on a fast run, fails on a slow one."""
     history = tmp_path / "BENCH_perf.json"
     append_results([{"bench": "fork_core_run", "best_seconds": 1.0,
                      "mean_seconds": 1.0, "repeats": 3},
@@ -236,9 +211,9 @@ def test_fork_speedup_gate(tmp_path):
                      "best_seconds": 0.3, "mean_seconds": 0.3,
                      "repeats": 3}], history)
     assert committed_baseline("fork_core_run", history) == 1.0
-    fast = [{"bench": "fork_core_run", "engine": "batched",
+    fast = [{"bench": "fork_core_run", "engine": ENGINE_PATH,
              "best_seconds": 0.25}]
-    slow = [{"bench": "fork_core_run", "engine": "batched",
+    slow = [{"bench": "fork_core_run", "engine": ENGINE_PATH,
              "best_seconds": 0.5}]
     assert gate_fork_speedup(fast, 3.0, baseline_path=history) == 0
     assert gate_fork_speedup(slow, 3.0, baseline_path=history) == 1

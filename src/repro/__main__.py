@@ -31,15 +31,6 @@ Options:
                        N cycles (raises SimulationHangError with a
                        last-progress snapshot) — a watchdog against
                        runaway simulations
-    --engine MODE      execution engine for every experiment: "scalar"
-                       steps one access at a time, "batched" drains
-                       fixed-size access batches through the
-                       trace→TLB→cache→DRAM fast path.  Both produce
-                       byte-identical statistics and artifacts; batched
-                       is several times faster.  Composes with --trace /
-                       --metrics / --profile / --max-cycles (armed hooks
-                       make the engine fall back to scalar stepping per
-                       batch, so observability output is unchanged)
     --fleet-workers N  run shardable experiments (currently: sparsity)
                        through the repro.fleet worker pool with N
                        processes (0 = auto: $REPRO_FLEET_WORKERS, then
@@ -270,18 +261,6 @@ def main(argv=None):
                 return 2
             from .engine.clock import set_default_max_cycles
             set_default_max_cycles(max_cycles)
-        elif arg == "--engine":
-            i += 1
-            if i >= len(args):
-                print("--engine requires a mode (scalar or batched)")
-                return 2
-            mode = args[i]
-            if mode not in ("scalar", "batched"):
-                print(f"--engine must be 'scalar' or 'batched', "
-                      f"got {mode!r}")
-                return 2
-            from .engine.batch import set_default_engine_mode
-            set_default_engine_mode(mode)
         elif arg == "--fleet-workers":
             i += 1
             if i >= len(args):

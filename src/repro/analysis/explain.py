@@ -168,16 +168,16 @@ steps at module scope are exempt — only post-import mutation makes
 process state.
 """,
     """
-    # before (repro/engine/batch.py)
-    _DEFAULT_ENGINE_MODE = "scalar"
-    def set_default_engine_mode(mode):
-        global _DEFAULT_ENGINE_MODE
-        _DEFAULT_ENGINE_MODE = mode
+    # before (repro/engine/clock.py)
+    _DEFAULT_MAX_CYCLES = None
+    def set_default_max_cycles(limit):
+        global _DEFAULT_MAX_CYCLES
+        _DEFAULT_MAX_CYCLES = limit
     # after: same, plus the registration
     register_process_state(
-        "repro.engine.batch._DEFAULT_ENGINE_MODE",
-        snapshot=lambda: _DEFAULT_ENGINE_MODE,
-        reset=_reset_default_engine_mode)
+        "repro.engine.clock._DEFAULT_MAX_CYCLES",
+        snapshot=lambda: _DEFAULT_MAX_CYCLES,
+        reset=_reset_default_max_cycles)
 """)
 
 _explain(

@@ -13,7 +13,7 @@ that owns it.
 What counts as mutation (collected project-wide by the call graph, so
 a mutation in *any* module convicts the global in its *owner* module):
 
-* a ``global`` rebind (``_DEFAULT_ENGINE_MODE = mode``),
+* a ``global`` rebind (``_DEFAULT_MAX_CYCLES = limit``),
 * an attribute store (``HOOKS.active = sink``),
 * a subscript store or delete (``_TRACE_MEMO[key] = v``),
 * an in-place mutator call (``cache.clear()``, ``queue.append(x)``),

@@ -94,13 +94,6 @@ class SystemConfig:
     # Reproducibility: the base seed every synthetic-input generator
     # derives its random.Random from (Section 5 runs are deterministic).
     rng_seed: int = 0
-    # Harness knob, not a Table 2 parameter: how the trace-driven core
-    # drives the machine.  "scalar" steps one access per Python call
-    # chain; "batched" drains fixed-size access batches through the
-    # fused fast path (byte-identical results, fewer interpreter
-    # dispatches); "auto" defers to the process-wide default set by the
-    # CLI's --engine flag (repro.engine.batch.set_default_engine_mode).
-    engine_mode: str = "auto"
 
     # -- construction-time validation ------------------------------------
 
@@ -109,15 +102,6 @@ class SystemConfig:
     _POWER_OF_TWO_FIELDS = ("cache_line_bytes", "page_bytes", "l1_bytes",
                             "l2_bytes", "l3_bytes", "bus_bytes",
                             "row_buffer_bytes")
-
-    #: Harness-side fields with no effect on simulated behaviour.  They
-    #: are excluded from run manifests and exported config dumps so
-    #: results/*.json stay byte-identical whichever engine drives the
-    #: run (the batched-vs-scalar equivalence contract).
-    _HARNESS_FIELDS = ("engine_mode",)
-
-    #: Valid engine_mode values ("auto" resolves at run time).
-    _ENGINE_MODES = ("auto", "scalar", "batched")
 
     def __post_init__(self) -> None:
         problems: List[str] = []
@@ -168,23 +152,13 @@ class SystemConfig:
             problems.append(f"omt_cache_entries="
                             f"{self.omt_cache_entries!r}: use 0 to "
                             f"disable the OMT cache, not a negative size")
-        if self.engine_mode not in self._ENGINE_MODES:
-            problems.append(
-                f"engine_mode={self.engine_mode!r}: expected one of "
-                f"{', '.join(self._ENGINE_MODES)}")
         if problems:
             raise ConfigError(
                 "invalid SystemConfig:\n  " + "\n  ".join(problems))
 
     def semantic_dict(self) -> Dict[str, Any]:
-        """Every field that affects simulated behaviour, as a flat
-        JSON-ready mapping.  Harness knobs (``_HARNESS_FIELDS``) are
-        excluded so exported artifacts stay byte-identical whichever
-        execution engine produced them."""
-        doc = asdict(self)
-        for name in self._HARNESS_FIELDS:
-            doc.pop(name, None)
-        return doc
+        """The full configuration as a flat JSON-ready mapping."""
+        return asdict(self)
 
     def as_rows(self) -> List[Tuple[str, str]]:
         """Rows in the layout of Table 2."""

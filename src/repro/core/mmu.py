@@ -226,18 +226,6 @@ class MMU:
         entry, latency = self.tlb.lookup(asid, vpn)
         if entry is not None:
             return TranslationResult(entry=entry, latency=latency, tlb_hit=True)
-        entry, latency = self.translate_miss(asid, vpn, write, latency)
-        return TranslationResult(entry=entry, latency=latency, tlb_hit=False)
-
-    def translate_miss(self, asid: int, vpn: int, write: bool,
-                       latency: int) -> Tuple[TLBEntry, int]:
-        """The TLB-miss half of :meth:`translate`: walk, OMT fetch, fill.
-
-        *latency* is the cycles already charged by the failed TLB lookup;
-        returns ``(entry, total_latency)`` without wrapping a
-        :class:`TranslationResult` — the batched engine calls this
-        directly after its own inline TLB probe misses.
-        """
         table = self.page_tables.get(asid)
         if table is None:
             raise KeyError(f"no page table registered for ASID {asid}")
@@ -249,7 +237,7 @@ class MMU:
             latency += omt_latency
             obitvector = omt_entry.obitvector
         entry = self.tlb.fill(asid, vpn, pte, obitvector)
-        return entry, latency
+        return TranslationResult(entry=entry, latency=latency, tlb_hit=False)
 
     def refresh(self, asid: int, vpn: int) -> None:
         """Drop a cached translation after the OS edits the PTE."""

@@ -32,8 +32,8 @@ from ..engine.component import Component
 class TLBEntry:
     """A cached translation plus its overlay state.
 
-    A slotted value type: one is allocated per TLB fill, and the batched
-    engine reads its fields on every access.
+    A slotted value type: one is allocated per TLB fill, and every
+    access reads its fields.
     """
 
     __slots__ = ("asid", "vpn", "pte", "obitvector")
@@ -86,7 +86,7 @@ class _SetAssociativeArray:
     ``(asid, vpn)`` in LRU order (least recent first): a hit is one
     ``get`` plus ``move_to_end``, an eviction is ``popitem(last=False)``
     — the same LRU semantics as the previous per-set lists, without the
-    linear probe.  The batched engine probes the buckets directly.
+    linear probe.
     """
 
     __slots__ = ("_sets", "_ways", "_buckets")

@@ -38,7 +38,7 @@ class MemoryAccess:
     """One load or store in a trace.
 
     A slotted value type — traces hold millions of these, and the
-    batched engine reads their fields in its innermost loop.  Equality
+    core reads their fields once per access.  Equality
     and hashing follow the old frozen-dataclass semantics (field
     tuples); treat instances as immutable.
     """

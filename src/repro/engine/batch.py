@@ -1,157 +1,13 @@
-# simlint: hot-path
-"""Batched execution: fixed-size access batches through one drain call.
+"""Engine-path name kept for an existing import.
 
-The scalar engine steps one access per Python call chain — every access
-pays the full interpreter dispatch cost of the core window model, the
-TLB, the cache probes and DRAM.  The batched engine instead slices the
-workload into fixed-size batches and hands each batch to a *sink*'s
-``drain(batch)`` method in one call, so the per-access work runs inside
-one tight loop with the hot state held in locals.
-
-The contract is strict equivalence: a batched run must produce byte-
-identical statistics, trace events and result artifacts to the scalar
-run of the same workload.  Drains achieve that by replicating the
-scalar per-access state updates exactly and falling back to the scalar
-path whenever an uncommon condition (an armed trace/sampler/fault hook,
-a line-spanning access, a copy-on-write trigger) needs the full
-machinery — see :meth:`repro.cpu.core.Core.run`.
-
-Mode selection mirrors the clock's ``max_cycles`` pattern: the CLI's
-``--engine`` flag sets a process-wide default with
-:func:`set_default_engine_mode`, and ``SystemConfig.engine_mode`` is
-``"auto"`` unless a run pins ``"scalar"`` or ``"batched"`` explicitly;
-:func:`resolve_engine_mode` folds the two together.
+The simulator has one execution path: :meth:`repro.cpu.core.Core.step`,
+driven by :meth:`~repro.cpu.core.Core.run` and the multi-core
+scheduler.  :func:`resolve_engine_mode` exists only because the host-time
+benchmark (``perfbench/cold_run.py``) imports it to label the path it
+measured; a later change to that benchmark deletes this module.
 """
-
-from __future__ import annotations
-
-from itertools import islice
-from typing import Iterable, Iterator, List
-
-from .process_state import register as register_process_state
-
-#: Accesses per drain call.  Large enough to amortise the per-batch
-#: bookkeeping (cursor sync, watchdog observe), small enough that the
-#: hang watchdog still fires within one batch of the offending access.
-DEFAULT_BATCH_SIZE = 256
-
-#: Engine modes a run can resolve to ("auto" is only a config value).
-ENGINE_MODES = ("scalar", "batched")
-
-#: Process-wide default engine mode, set by the CLI's ``--engine`` flag.
-_DEFAULT_ENGINE_MODE = "scalar"
-
-
-def _reset_default_engine_mode() -> None:
-    global _DEFAULT_ENGINE_MODE
-    _DEFAULT_ENGINE_MODE = "scalar"
-
-
-# The default engine mode is process-wide mutable state: a worker that
-# forks after ``--engine batched`` ran would resolve "auto" differently
-# from a fresh process.  Registered so reset_all/fork_guard restore it.
-register_process_state(
-    "repro.engine.batch._DEFAULT_ENGINE_MODE",
-    snapshot=lambda: _DEFAULT_ENGINE_MODE,
-    reset=_reset_default_engine_mode)
-
-
-def set_default_engine_mode(mode: str) -> None:
-    """Set the engine mode ``engine_mode="auto"`` configs resolve to."""
-    global _DEFAULT_ENGINE_MODE
-    if mode not in ENGINE_MODES:
-        raise ValueError(f"unknown engine mode {mode!r}: expected one of "
-                         f"{', '.join(ENGINE_MODES)}")
-    _DEFAULT_ENGINE_MODE = mode
-
-
-def default_engine_mode() -> str:
-    """The process-wide default engine mode."""
-    return _DEFAULT_ENGINE_MODE
 
 
 def resolve_engine_mode(mode: str = "auto") -> str:
-    """Resolve a config's ``engine_mode`` to "scalar" or "batched"."""
-    if mode == "auto":
-        return _DEFAULT_ENGINE_MODE
-    if mode not in ENGINE_MODES:
-        raise ValueError(f"unknown engine mode {mode!r}: expected auto, "
-                         f"{', or '.join(ENGINE_MODES)}")
-    return mode
-
-
-class AccessBatch:
-    """One fixed-size slice of a workload, with its position in it.
-
-    A thin, slotted carrier: drains iterate ``items`` directly; ``index``
-    is the offset of ``items[0]`` in the full workload (diagnostics).
-    """
-
-    __slots__ = ("items", "index")
-
-    def __init__(self, items: List, index: int = 0):
-        self.items = items
-        self.index = index
-
-    def __iter__(self) -> Iterator:
-        return iter(self.items)
-
-    def __len__(self) -> int:
-        return len(self.items)
-
-    def __repr__(self) -> str:
-        return f"AccessBatch(index={self.index}, size={len(self.items)})"
-
-
-def iter_batches(items: Iterable, batch_size: int = DEFAULT_BATCH_SIZE,
-                 start_index: int = 0) -> Iterator[AccessBatch]:
-    """Slice *items* into :class:`AccessBatch`\\ es of *batch_size*.
-
-    Lists are sliced directly (no iterator dispatch per item); other
-    iterables are chunked with :func:`itertools.islice`.
-    """
-    if batch_size < 1:
-        raise ValueError(f"batch_size must be positive, got {batch_size}")
-    index = start_index
-    if isinstance(items, list):
-        for offset in range(0, len(items), batch_size):
-            chunk = items[offset:offset + batch_size]
-            yield AccessBatch(chunk, index)
-            index += len(chunk)
-        return
-    source = iter(items)
-    while True:
-        chunk = list(islice(source, batch_size))
-        if not chunk:
-            return
-        yield AccessBatch(chunk, index)
-        index += len(chunk)
-
-
-class BatchEngine:
-    """The batched drain loop: feed a sink fixed-size batches.
-
-    The sink is anything with a ``drain(batch)`` method — typically a
-    :class:`~repro.engine.component.Component`, whose default ``drain``
-    falls back to per-item ``step`` calls, or a purpose-built fused
-    drain like the core's window-model loop.
-    """
-
-    __slots__ = ("sink", "batch_size", "batches_drained", "items_drained")
-
-    def __init__(self, sink, batch_size: int = DEFAULT_BATCH_SIZE):
-        if batch_size < 1:
-            raise ValueError(f"batch_size must be positive, got {batch_size}")
-        self.sink = sink
-        self.batch_size = batch_size
-        self.batches_drained = 0
-        self.items_drained = 0
-
-    def run(self, items: Iterable) -> int:
-        """Drain *items* through the sink; returns the item count."""
-        for batch in iter_batches(items, self.batch_size,
-                                  start_index=self.items_drained):
-            self.sink.drain(batch)
-            self.batches_drained += 1
-            self.items_drained += len(batch)
-        return self.items_drained
+    """The path every run takes: always ``"scalar"``."""
+    return "scalar"

@@ -85,27 +85,6 @@ class Component:
         for child in self._children.values():
             yield from child.walk_components()
 
-    # -- batched execution ---------------------------------------------------
-
-    def drain(self, batch) -> None:
-        """Process one batch of work items (the batched-engine protocol).
-
-        The default is the scalar fallback: each item is handed to this
-        component's ``step`` method one at a time, so a component that
-        only implements the scalar path still works under
-        :class:`~repro.engine.batch.BatchEngine`.  Components with a
-        vectorized fast path override this with a fused loop that must
-        produce byte-identical state to the scalar fallback.
-        """
-        step = getattr(self, "step", None)
-        if step is None:
-            raise TypeError(
-                f"{type(self).__name__} ({self.component_name!r}) supports "
-                f"neither drain(batch) nor step(item); implement one to "
-                f"use it as a batch sink")
-        for item in batch:
-            step(item)
-
     # -- observability -------------------------------------------------------
 
     def trace_event(self, category: str, name: str,

@@ -25,7 +25,7 @@ explicit value, then ``$REPRO_FLEET_WORKERS``, then ``os.cpu_count()``
 the fast path for tests.
 
 The CLI's ``--fleet-workers`` / ``--resume`` flags set process-wide
-defaults here (mirroring the engine-mode and watchdog patterns), and
+defaults here (mirroring the watchdog pattern), and
 both defaults are registered with :mod:`repro.engine.process_state` so
 ``reset_all``/``fork_guard`` restore them in workers.
 """

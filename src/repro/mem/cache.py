@@ -81,7 +81,7 @@ class SetAssociativeCache(Component):
         self.data_latency = data_latency
         self.serial_tag_data = serial_tag_data
         self._policy = make_policy(policy, self.num_sets, ways)
-        # The batched fast path inlines LRU bookkeeping; any other policy
+        # access() and fill() inline LRU bookkeeping; any other policy
         # goes through the policy object's methods.
         self._policy_is_lru = type(self._policy) is LRUPolicy
         self._lines: List[List[Optional[CacheLine]]] = [

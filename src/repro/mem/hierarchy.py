@@ -169,46 +169,9 @@ class MemoryHierarchy(Component):
         below, level = self._access_below_l1(tag, write, data)
         return AccessResult(latency=cycles + below, level=level)
 
-    def access_fast(self, tag: int, write: bool = False,
-                    data: Optional[bytes] = None,
-                    now: Optional[int] = None) -> int:
-        """Latency-only twin of :meth:`access` for the batched engine.
-
-        Inlines the L1 probe (dict lookup, LRU touch, stats) so the
-        overwhelmingly common L1 hit costs no method dispatch; everything
-        below the L1 is the exact same code path :meth:`access` takes, so
-        stats and cache state stay byte-identical between the two.
-        """
-        if now is not None:
-            self._now = now
-        l1 = self.l1
-        where = l1._where.get(tag)
-        if where is not None:
-            set_index, way = where
-            line = l1._lines[set_index][way]
-            if l1._policy_is_lru:
-                policy = l1._policy
-                policy._clock += 1
-                policy._last_use[set_index][way] = policy._clock
-            else:
-                l1._policy.on_hit(set_index, way)
-            stats = l1.stats
-            stats.hits += 1
-            if line.prefetched:
-                stats.prefetch_hits += 1
-                line.prefetched = False
-            if write:
-                line.dirty = True
-                if data is not None:
-                    line.data = data
-            return l1.hit_latency
-        l1.stats.misses += 1
-        below, _level = self._access_below_l1(tag, write, data)
-        return l1.miss_latency + below
-
     def _access_below_l1(self, tag: int, write: bool,
                          data: Optional[bytes]) -> Tuple[int, str]:
-        """The shared post-L1-miss demand path: L2, L3, then memory.
+        """The post-L1-miss demand path: L2, L3, then memory.
 
         The common all-levels-miss case is inlined: the L2/L3 miss probes
         and the port dispatch avoid method-call layers while performing

@@ -35,19 +35,6 @@ from ..engine.rng import resolve_seed
 MANIFEST_FORMAT = 1
 
 
-def _config_dict(config: SystemConfig) -> Dict[str, Any]:
-    """The full Table 2 as a flat JSON-ready mapping.
-
-    Harness knobs (``SystemConfig._HARNESS_FIELDS``, e.g. the engine
-    mode) do not affect simulated behaviour and are excluded so a
-    scalar and a batched run of the same workload emit byte-identical
-    manifests.
-    """
-    harness = getattr(type(config), "_HARNESS_FIELDS", ())
-    return {spec.name: getattr(config, spec.name)
-            for spec in fields(config) if spec.name not in harness}
-
-
 @dataclass
 class RunManifest:
     """Provenance of one benchmark/harness run."""
@@ -81,7 +68,7 @@ class RunManifest:
             run=run,
             version=__version__,
             rng_seed=resolve_seed(seed, config=config),
-            config=_config_dict(config),
+            config=config.semantic_dict(),
             python=_platform.python_version(),
             platform=f"{sys.platform}/{_platform.machine()}",
             started_at=time.strftime(               # simlint: disable=SL001

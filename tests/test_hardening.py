@@ -111,6 +111,18 @@ class TestWatchdog:
         finally:
             set_default_max_cycles(None)
 
+    def test_real_benchmark_run_trips_the_watchdog(self):
+        """The default limit reaches a full fork-benchmark run: the
+        core's clock motion is watched access by access."""
+        from repro.eval.fork_experiment import run_benchmark
+        set_default_max_cycles(2000)
+        try:
+            with pytest.raises(SimulationHangError) as caught:
+                run_benchmark("bwaves", scale=0.05)
+        finally:
+            set_default_max_cycles(None)
+        assert caught.value.limit == 2000
+
     def test_cli_flag_validation(self, capsys):
         assert repro_cli(["--max-cycles"]) == 2
         assert repro_cli(["--max-cycles", "soon"]) == 2

@@ -3,8 +3,8 @@
 Three layers:
 
 * the registry API itself (register/snapshot/reset/fork_guard);
-* the migrated slots (hook holder, engine-mode default, watchdog
-  default, workload trace memo — including the memo's LRU bound);
+* the migrated slots (hook holder, watchdog default, workload trace
+  memo — including the memo's LRU bound);
 * the acceptance property: after perturbing every registered slot and
   calling ``reset_all()``, an in-process benchmark run is byte-identical
   to the same run in a fresh interpreter — twice over, proving reruns
@@ -20,7 +20,6 @@ from pathlib import Path
 import pytest
 
 from repro.engine import process_state
-from repro.engine.batch import default_engine_mode, set_default_engine_mode
 from repro.engine.clock import default_max_cycles, set_default_max_cycles
 from repro.engine.tracing import HOOKS
 from repro.obs.trace import Tracer
@@ -109,7 +108,6 @@ class TestMigratedSlots:
     def test_expected_slots_registered(self):
         names = process_state.registered()
         for expected in ("repro.engine.tracing.HOOKS",
-                         "repro.engine.batch._DEFAULT_ENGINE_MODE",
                          "repro.engine.clock._DEFAULT_MAX_CYCLES",
                          "repro.workloads.spec_like._TRACE_MEMO",
                          "repro.engine.process_state._GUARDED"):
@@ -123,13 +121,6 @@ class TestMigratedSlots:
             (True, False, False)
         process_state.reset("repro.engine.tracing.HOOKS")
         assert HOOKS.active is None
-
-    def test_engine_mode_slot_round_trip(self):
-        set_default_engine_mode("batched")
-        assert process_state.snapshot(
-            "repro.engine.batch._DEFAULT_ENGINE_MODE") == "batched"
-        process_state.reset_all()
-        assert default_engine_mode() == "scalar"
 
     def test_watchdog_slot_round_trip(self):
         set_default_max_cycles(123456)
@@ -195,7 +186,6 @@ class TestForkReadiness:
         # Perturb every registered slot the way a long-lived campaign
         # process would: arm a tracer, flip defaults, warm the memo.
         HOOKS.active = Tracer()
-        set_default_engine_mode("batched")
         set_default_max_cycles(10**9)
         warmup_trace(BENCHMARKS["mcf"], 0x80, accesses=40, seed=11)
 
@@ -216,11 +206,10 @@ class TestForkReadiness:
 
     def test_snapshot_all_matches_fresh_process_after_reset(self):
         HOOKS.sampler = object()
-        set_default_engine_mode("batched")
+        set_default_max_cycles(10**9)
         process_state.reset_all()
         snap = process_state.snapshot_all()
         assert snap["repro.engine.tracing.HOOKS"] == (False, False, False)
-        assert snap["repro.engine.batch._DEFAULT_ENGINE_MODE"] == "scalar"
         assert snap["repro.engine.clock._DEFAULT_MAX_CYCLES"] is None
         assert snap["repro.workloads.spec_like._TRACE_MEMO"] == ()
         assert snap["repro.engine.process_state._GUARDED"] is False
