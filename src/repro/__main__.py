@@ -59,8 +59,8 @@ def _run_table2():
 
 
 def _run_figure8():
-    from .eval.fork_experiment import format_figure8, run_suite, summarize
-    results = run_suite()
+    from .eval.fork_experiment import figure_suite, format_figure8, summarize
+    results = figure_suite()
     print(format_figure8(results))
     print(f"mean memory reduction: "
           f"{summarize(results)['memory_reduction']:.0%}  [paper: 53%]")
@@ -69,8 +69,8 @@ def _run_figure8():
 
 
 def _run_figure9():
-    from .eval.fork_experiment import format_figure9, run_suite, summarize
-    results = run_suite()
+    from .eval.fork_experiment import figure_suite, format_figure9, summarize
+    results = figure_suite()
     print(format_figure9(results))
     print(f"mean performance improvement: "
           f"{summarize(results)['performance_improvement']:.0%}  "

@@ -28,6 +28,7 @@ same substrate.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
+from functools import partial
 from typing import Callable, Dict, List, Optional
 
 from .address import (LINE_SIZE, LINES_PER_PAGE, PAGE_SIZE, line_index,
@@ -237,15 +238,34 @@ class OverlaySystem(Component):
         The access may span cache lines and even pages; every line is a
         separate (freshly translated) hierarchy access, as in hardware.
         """
-        self.stats.reads += 1
-        latency = 0
         out = bytearray()
+        latency = self._read_lines(asid, vaddr, size, core, out)
+        return bytes(out), latency
+
+    def load(self, asid: int, vaddr: int, size: int = 8,
+             core: int = 0) -> int:
+        """Return the latency of :meth:`read`, without the bytes.
+
+        The same translations, accesses and counters as :meth:`read`;
+        the core's timing model issues every trace load through it.
+        """
+        return self._read_lines(asid, vaddr, size, core, None)
+
+    def _read_lines(self, asid: int, vaddr: int, size: int, core: int,
+                    out: Optional[bytearray]) -> int:
+        """The per-line walk of a read; returns its latency.  Each line's
+        bytes are appended to *out* (unless None) right after its access,
+        before a later line's access can evict it."""
+        self.stats.reads += 1
+        hierarchy = self.hierarchy
+        latency = 0
         cursor = vaddr
         remaining = size
         last_vpn = None
         translation = None
         while remaining > 0:
-            take = min(remaining, LINE_SIZE - line_offset(cursor))
+            start = line_offset(cursor)
+            take = min(remaining, LINE_SIZE - start)
             vpn = page_number(cursor)
             if vpn != last_vpn:
                 translation = self._translate(asid, cursor, write=False,
@@ -253,15 +273,14 @@ class OverlaySystem(Component):
                 latency += translation.latency
                 last_vpn = vpn
             tag = self._target_tag(asid, cursor, translation)
-            result = self.hierarchy.access(tag, write=False,
-                                           now=self.clock + latency)
-            latency += result.latency
-            data = self.hierarchy.lookup_data(tag) or ZERO_LINE
-            start = line_offset(cursor)
-            out += data[start:start + take]
+            latency += hierarchy.access(tag, False, None,
+                                        self.clock + latency).latency
+            if out is not None:
+                data = hierarchy.lookup_data(tag) or ZERO_LINE
+                out += data[start:start + take]
             cursor += take
             remaining -= take
-        return bytes(out), latency
+        return latency
 
     def write(self, asid: int, vaddr: int, data: bytes, core: int = 0) -> int:
         """Write *data* at *vaddr*; returns the latency in cycles.
@@ -556,23 +575,13 @@ class OverlaySystem(Component):
         the copy loop's iterations are independent.
         """
         start = self.clock if now is None else now
-        finish = start
-        issue = start
-        for line in range(LINES_PER_PAGE):
-            src_tag = line_tag_of(src_ppn, line)
-            dst_tag = line_tag_of(dst_ppn, line)
-            read = self.hierarchy.access(src_tag, write=False, now=issue)
-            data = (self.hierarchy.lookup_data(src_tag)
-                    or self.main_memory.read_line(src_ppn, line))
-            write = self.hierarchy.access(dst_tag, write=True, data=data,
-                                          now=issue)
-            # Keep the destination frame in sync line by line: the copy
-            # must carry dirty cached source data, never the (possibly
-            # stale) source frame.
-            self.main_memory.write_line(dst_ppn, line, data)
-            finish = max(finish, issue + read.latency + write.latency)
-            issue += 2  # one load + one store issued per two cycles
-        return finish - start
+        # The destination frame is written line by line as the copy goes:
+        # it must carry dirty cached source data, never the (possibly
+        # stale) source frame.
+        return self.hierarchy.copy_page(
+            line_tag_of(src_ppn, 0), line_tag_of(dst_ppn, 0), start,
+            partial(self.main_memory.read_line, src_ppn),
+            partial(self.main_memory.write_line, dst_ppn))
 
     # -- promotion (Section 4.3.4) ----------------------------------------------------
 

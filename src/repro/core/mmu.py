@@ -225,7 +225,7 @@ class MMU:
         """
         entry, latency = self.tlb.lookup(asid, vpn)
         if entry is not None:
-            return TranslationResult(entry=entry, latency=latency, tlb_hit=True)
+            return TranslationResult(entry, latency, True)
         table = self.page_tables.get(asid)
         if table is None:
             raise KeyError(f"no page table registered for ASID {asid}")
@@ -237,7 +237,7 @@ class MMU:
             latency += omt_latency
             obitvector = omt_entry.obitvector
         entry = self.tlb.fill(asid, vpn, pte, obitvector)
-        return TranslationResult(entry=entry, latency=latency, tlb_hit=False)
+        return TranslationResult(entry, latency, False)
 
     def refresh(self, asid: int, vpn: int) -> None:
         """Drop a cached translation after the OS edits the PTE."""

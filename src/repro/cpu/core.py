@@ -230,6 +230,5 @@ class Core:
             data = access.data if access.data is not None else b"\xAB" * access.size
             return self.system.write(self.asid, access.vaddr, data,
                                      core=self.core_id)
-        _, latency = self.system.read(self.asid, access.vaddr, access.size,
-                                      core=self.core_id)
-        return latency
+        return self.system.load(self.asid, access.vaddr, access.size,
+                                core=self.core_id)

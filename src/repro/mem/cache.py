@@ -86,7 +86,8 @@ class SetAssociativeCache(Component):
         self._policy_is_lru = type(self._policy) is LRUPolicy
         self._lines: List[List[Optional[CacheLine]]] = [
             [None] * ways for _ in range(self.num_sets)]
-        self._where: Dict[int, Tuple[int, int]] = {}
+        #: Resident tag -> way; a tag's set is always ``tag % num_sets``.
+        self._where: Dict[int, int] = {}
         # Lines resident per set: lets fill() skip the free-way scan once
         # a set is full (the steady state), going straight to eviction.
         self._occupancy: List[int] = [0] * self.num_sets
@@ -101,16 +102,12 @@ class SetAssociativeCache(Component):
 
     # -- core operations -------------------------------------------------------
 
-    def _set_index(self, tag: int) -> int:
-        return tag % self.num_sets
-
     def lookup(self, tag: int) -> Optional[CacheLine]:
         """Probe without any side effects (no stats, no LRU update)."""
-        where = self._where.get(tag)
-        if where is None:
+        way = self._where.get(tag)
+        if way is None:
             return None
-        set_index, way = where
-        return self._lines[set_index][way]
+        return self._lines[tag % self.num_sets][way]
 
     def access(self, tag: int, write: bool = False,
                data: Optional[bytes] = None) -> Tuple[bool, int]:
@@ -120,11 +117,11 @@ class SetAssociativeCache(Component):
         when *data* is given.  Misses cost only the tag latency here; the
         hierarchy adds the lower levels' time and then calls :meth:`fill`.
         """
-        where = self._where.get(tag)
-        if where is None:
+        way = self._where.get(tag)
+        if way is None:
             self.stats.misses += 1
             return False, self.miss_latency
-        set_index, way = where
+        set_index = tag % self.num_sets
         line = self._lines[set_index][way]
         if self._policy_is_lru:
             policy = self._policy
@@ -146,75 +143,69 @@ class SetAssociativeCache(Component):
              dirty: bool = False, prefetch: bool = False) -> Optional[EvictedLine]:
         """Install *tag*, returning the evicted line if one fell out."""
         where_map = self._where
-        where = where_map.get(tag)
-        if where is not None:
+        way = where_map.get(tag)
+        set_index = tag % self.num_sets
+        bucket = self._lines[set_index]
+        if way is not None:
             # Refill of a resident line (e.g. prefetch raced demand): merge.
-            line = self._lines[where[0]][where[1]]
+            line = bucket[way]
             if dirty:
                 line.dirty = True
             if data is not None:
                 line.data = data
             return None
-        set_index = tag % self.num_sets
-        bucket = self._lines[set_index]
         policy = self._policy
-        stats = self.stats
         is_lru = self._policy_is_lru
-        evicted = None
+        if is_lru:
+            stamps = policy._last_use[set_index]
+        stats = self.stats
+        stats.fills += 1
+        if prefetch:
+            stats.prefetch_fills += 1
         occupancy = self._occupancy
         if occupancy[set_index] < self.ways:
             way = bucket.index(None)  # first free way, as victim() picks
             occupancy[set_index] += 1
-            bucket[way] = CacheLine(tag=tag, dirty=dirty, data=data,
-                                    prefetched=prefetch)
+            bucket[way] = CacheLine(tag, dirty, data, prefetch)
+            evicted = None
         else:
             if is_lru:
-                # Inlined LRUPolicy.victim_full: oldest stamp,
-                # first-of-equals (matching min()'s tie-break).
-                stamps = policy._last_use[set_index]
-                way = 0
-                best = stamps[0]
-                for i in range(1, self.ways):
-                    stamp = stamps[i]
-                    if stamp < best:
-                        best = stamp
-                        way = i
+                # Inlined LRUPolicy.victim_full.
+                way = stamps.index(min(stamps))
             else:
                 way = policy.victim_full(set_index)
             victim = bucket[way]
-            del where_map[victim.tag]
+            victim_tag = victim.tag
+            victim_dirty = victim.dirty
+            del where_map[victim_tag]
             stats.evictions += 1
-            if victim.dirty:
+            if victim_dirty:
                 stats.dirty_evictions += 1
-            evicted = EvictedLine(tag=victim.tag, dirty=victim.dirty,
-                                  data=victim.data)
+            evicted = EvictedLine(victim_tag, victim_dirty, victim.data)
             # Reuse the victim's CacheLine object for the incoming line.
             victim.tag = tag
             victim.dirty = dirty
             victim.data = data
             victim.prefetched = prefetch
-        where_map[tag] = (set_index, way)
+        where_map[tag] = way
         if is_lru:
             policy._clock += 1
-            policy._last_use[set_index][way] = policy._clock
+            stamps[way] = policy._clock
         else:
-            policy.on_fill(set_index, way, prefetch=prefetch)
-        stats.fills += 1
-        if prefetch:
-            stats.prefetch_fills += 1
+            policy.on_fill(set_index, way, prefetch)
         return evicted
 
     def invalidate(self, tag: int) -> Optional[EvictedLine]:
         """Remove *tag*; returns the line (with dirtiness) if present."""
-        where = self._where.pop(tag, None)
-        if where is None:
+        way = self._where.pop(tag, None)
+        if way is None:
             return None
-        set_index, way = where
+        set_index = tag % self.num_sets
         line = self._lines[set_index][way]
         self._lines[set_index][way] = None
         self._occupancy[set_index] -= 1
         self.stats.invalidations += 1
-        return EvictedLine(tag=line.tag, dirty=line.dirty, data=line.data)
+        return EvictedLine(line.tag, line.dirty, line.data)
 
     def retag(self, old_tag: int, new_tag: int) -> bool:
         """Rewrite a resident line's tag in place (overlaying-write step 1).
@@ -225,16 +216,16 @@ class SetAssociativeCache(Component):
         different sets the line is physically moved (hardware would make
         an explicit copy in that case — Section 4.3.3).
         """
-        where = self._where.get(old_tag)
-        if where is None or new_tag in self._where:
+        way = self._where.get(old_tag)
+        if way is None or new_tag in self._where:
             return False
-        set_index, way = where
+        set_index = old_tag % self.num_sets
         line = self._lines[set_index][way]
-        new_set = self._set_index(new_tag)
+        new_set = new_tag % self.num_sets
         line.tag = new_tag
         if new_set == set_index:
             del self._where[old_tag]
-            self._where[new_tag] = (set_index, way)
+            self._where[new_tag] = way
             return True
         # Cross-set move: evict from the old slot, fill into the new set.
         self._lines[set_index][way] = None

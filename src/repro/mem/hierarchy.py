@@ -30,6 +30,7 @@ from typing import Callable, List, Optional, Tuple
 from .cache import EvictedLine, SetAssociativeCache
 from .dram import DRAM
 from .prefetcher import StreamPrefetcher
+from ..core.address import LINES_PER_PAGE
 from ..engine.component import Component
 from ..engine.port import FetchPort, MissPort, MissResolution, WritebackPort
 from ..engine.tracing import HOOKS
@@ -126,28 +127,32 @@ class MemoryHierarchy(Component):
 
     def _spill(self, level: SetAssociativeCache,
                evicted: Optional[EvictedLine]) -> None:
-        """Push a dirty eviction one level down (non-inclusive hierarchy)."""
+        """Push a dirty eviction down (non-inclusive hierarchy): an L1
+        victim fills the L2, whose dirty victim fills the L3, whose dirty
+        victim is written back."""
         if evicted is None or not evicted.dirty:
             return
         if level is self.l1:
-            victim = self.l2.fill(evicted.tag, data=evicted.data, dirty=True)
-            self._spill(self.l2, victim)
-        elif level is self.l2:
-            victim = self.l3.fill(evicted.tag, data=evicted.data, dirty=True)
-            self._spill(self.l3, victim)
-        else:
-            self.writeback_port.writeback(evicted.tag, evicted.data)
+            evicted = self.l2.fill(evicted.tag, evicted.data, True)
+            if evicted is None or not evicted.dirty:
+                return
+            level = self.l2
+        if level is self.l2:
+            evicted = self.l3.fill(evicted.tag, evicted.data, True)
+            if evicted is None or not evicted.dirty:
+                return
+        self.writeback_port.writeback(evicted.tag, evicted.data)
 
     def _fill_upward(self, tag: int, data: Optional[bytes],
                      dirty: bool = False) -> None:
         """Install a fetched line into L3, L2 and L1, spilling victims."""
-        evicted = self.l3.fill(tag, data=data, dirty=False)
+        evicted = self.l3.fill(tag, data, False)
         if evicted is not None and evicted.dirty:
             self._spill(self.l3, evicted)
-        evicted = self.l2.fill(tag, data=data, dirty=False)
+        evicted = self.l2.fill(tag, data, False)
         if evicted is not None and evicted.dirty:
             self._spill(self.l2, evicted)
-        evicted = self.l1.fill(tag, data=data, dirty=dirty)
+        evicted = self.l1.fill(tag, data, dirty)
         if evicted is not None and evicted.dirty:
             self._spill(self.l1, evicted)
 
@@ -163,11 +168,52 @@ class MemoryHierarchy(Component):
         if now is not None:
             self._now = now
 
-        hit, cycles = self.l1.access(tag, write=write, data=data)
+        hit, cycles = self.l1.access(tag, write, data)
         if hit:
-            return AccessResult(latency=cycles, level="L1")
+            return AccessResult(cycles, "L1")
         below, level = self._access_below_l1(tag, write, data)
-        return AccessResult(latency=cycles + below, level=level)
+        return AccessResult(cycles + below, level)
+
+    def copy_page(self, src_base_tag: int, dst_base_tag: int, now: int,
+                  read_frame_line: Callable[[int], bytes],
+                  write_frame_line: Callable[[int, bytes], None]) -> int:
+        """Copy a page with CPU loads and stores; returns the latency.
+
+        For each of the page's lines in order, a load of
+        ``src_base_tag + line`` and a store of its bytes to
+        ``dst_base_tag + line`` are issued at the same cycle -- exactly
+        the two :meth:`access` calls a copy loop makes, two cycles per
+        line -- and the latency is the completion of the slowest line.
+        The bytes come from the line the load just brought into the L1,
+        else from the freshest cached copy, else from
+        ``read_frame_line(line)``.  ``write_frame_line(line, data)``
+        keeps the destination frame in step line by line: a prefetch
+        later in the copy may read an already-copied line from it.
+        """
+        l1 = self.l1
+        l1_access = l1.access
+        below_l1 = self._access_below_l1
+        finish = issue = now
+        for line in range(LINES_PER_PAGE):
+            src = src_base_tag + line
+            self._now = issue  # the load and the store both issue here
+            hit, latency = l1_access(src, False, None)
+            if not hit:
+                latency += below_l1(src, False, None)[0]
+            cached = l1.lookup(src)
+            data = cached.data if cached is not None else None
+            if not data:
+                data = self.lookup_data(src) or read_frame_line(line)
+            dst = dst_base_tag + line
+            hit, cycles = l1_access(dst, True, data)
+            if not hit:
+                cycles += below_l1(dst, True, data)[0]
+            write_frame_line(line, data)
+            done = issue + latency + cycles
+            if done > finish:
+                finish = done
+            issue += 2  # one load + one store issued per two cycles
+        return finish - now
 
     def _access_below_l1(self, tag: int, write: bool,
                          data: Optional[bytes]) -> Tuple[int, str]:
@@ -180,18 +226,18 @@ class MemoryHierarchy(Component):
         """
         l2 = self.l2
         if l2._where.get(tag) is not None:
-            _hit, latency = l2.access(tag, write=False)
+            _hit, latency = l2.access(tag, False)
             line = l2.lookup(tag)
             # Dirty ownership moves *up* with the data: leaving the L2
             # copy dirty would create a stale dirty duplicate that a
             # later flush or eviction writes back over fresher data.
             promoted_dirty = write or line.dirty
             line.dirty = False
-            evicted = self.l1.fill(tag, data=line.data, dirty=promoted_dirty)
+            evicted = self.l1.fill(tag, line.data, promoted_dirty)
             if evicted is not None and evicted.dirty:
                 self._spill(self.l1, evicted)
             if data is not None and write:
-                self.l1.access(tag, write=True, data=data)
+                self.l1.access(tag, True, data)
             return latency, "L2"
         l2.stats.misses += 1
         latency = l2.miss_latency
@@ -202,19 +248,19 @@ class MemoryHierarchy(Component):
 
         l3 = self.l3
         if l3._where.get(tag) is not None:
-            _hit, cycles = l3.access(tag, write=False)
+            _hit, cycles = l3.access(tag, False)
             latency += cycles
             line = l3.lookup(tag)
             promoted_dirty = write or line.dirty
             line.dirty = False
-            evicted = l2.fill(tag, data=line.data, dirty=False)
+            evicted = l2.fill(tag, line.data, False)
             if evicted is not None and evicted.dirty:
                 self._spill(l2, evicted)
-            evicted = self.l1.fill(tag, data=line.data, dirty=promoted_dirty)
+            evicted = self.l1.fill(tag, line.data, promoted_dirty)
             if evicted is not None and evicted.dirty:
                 self._spill(self.l1, evicted)
             if data is not None and write:
-                self.l1.access(tag, write=True, data=data)
+                self.l1.access(tag, True, data)
             return latency, "L3"
         l3.stats.misses += 1
         latency += l3.miss_latency
@@ -244,9 +290,9 @@ class MemoryHierarchy(Component):
                               {"op": "fetch", "tag": tag})
         fetch_port._requests.value += 1
         fill_data = fetch_port._handler(tag)
-        self._fill_upward(tag, data=fill_data, dirty=write)
+        self._fill_upward(tag, fill_data, write)
         if data is not None and write:
-            self.l1.access(tag, write=True, data=data)
+            self.l1.access(tag, True, data)
         return latency, "MEM"
 
     def _prefetch(self, tag: int) -> None:
@@ -277,7 +323,7 @@ class MemoryHierarchy(Component):
             HOOKS.active.emit(None, "port", fetch_port.name,
                               {"op": "fetch", "tag": tag})
         fetch_port._requests.value += 1
-        evicted = l3.fill(tag, data=fetch_port._handler(tag), prefetch=True)
+        evicted = l3.fill(tag, fetch_port._handler(tag), False, True)
         if evicted is not None and evicted.dirty:
             self._spill(l3, evicted)
 

@@ -3,14 +3,17 @@
 Separate from the DRAM *timing* model (:mod:`repro.mem.dram`): this module
 holds the actual bytes of regular physical pages so that data-fidelity
 techniques (deduplication, checkpointing, speculation, overlay promotion)
-can assert on contents.  Frames are 4KB bytearrays allocated lazily and
+can assert on contents.  Frames are 4KB, allocated lazily and
 zero-filled, which also gives the sparse-data-structure technique its
-zero page for free.
+zero page for free.  A frame written or copied whole is kept as an
+immutable ``bytes`` object, which frames with the same contents share
+(``Kernel.mmap``'s fill pattern, a copied page); the first line or byte
+write to such a frame gives it a ``bytearray`` of its own.
 """
 
 from __future__ import annotations
 
-from typing import Dict, Iterator
+from typing import Dict, Iterator, Union
 
 from ..core.address import LINE_SIZE, LINES_PER_PAGE, PAGE_SIZE
 
@@ -19,12 +22,12 @@ class MainMemory:
     """A dictionary of physical frames holding real data bytes."""
 
     def __init__(self):
-        self._frames: Dict[int, bytearray] = {}
+        self._frames: Dict[int, Union[bytes, bytearray]] = {}
 
     def _frame(self, ppn: int) -> bytearray:
         frame = self._frames.get(ppn)
-        if frame is None:
-            frame = bytearray(PAGE_SIZE)
+        if type(frame) is not bytearray:
+            frame = bytearray(PAGE_SIZE) if frame is None else bytearray(frame)
             self._frames[ppn] = frame
         return frame
 
@@ -57,11 +60,11 @@ class MainMemory:
     def write_page(self, ppn: int, data: bytes) -> None:
         if len(data) != PAGE_SIZE:
             raise ValueError(f"page data must be {PAGE_SIZE} bytes")
-        self._frames[ppn] = bytearray(data)
+        self._frames[ppn] = bytes(data)
 
     def copy_page(self, src_ppn: int, dst_ppn: int) -> None:
         """Copy a whole frame (the copy-on-write baseline's page copy)."""
-        self._frames[dst_ppn] = bytearray(self.read_page(src_ppn))
+        self._frames[dst_ppn] = self.read_page(src_ppn)
 
     def free_frame(self, ppn: int) -> None:
         self._frames.pop(ppn, None)

@@ -21,15 +21,21 @@ class _Stream:
     """One tracked stream: last demand line, direction, next prefetch."""
 
     __slots__ = ("last_line", "direction", "next_prefetch", "confidence",
-                 "lru")
+                 "lru", "low", "high")
 
     def __init__(self, last_line: int, direction: int = 0,
-                 next_prefetch: int = 0, confidence: int = 0, lru: int = 0):
+                 next_prefetch: int = 0, confidence: int = 0, lru: int = 0,
+                 low: int = 0, high: int = 0):
         self.last_line = last_line
         self.direction = direction   # +1, -1, or 0 while still training
         self.next_prefetch = next_prefetch
         self.confidence = confidence
         self.lru = lru
+        # The lines a miss may fall on to train this stream: within the
+        # training window of last_line, or up to `distance` lines ahead
+        # of it in its direction -- one contiguous range.
+        self.low = low
+        self.high = high
 
 
 @dataclass
@@ -55,22 +61,16 @@ class StreamPrefetcher:
         self._clock = 0
         self.stats = PrefetcherStats()
 
-    def _find_stream(self, line: int) -> _Stream:
-        window = self.train_window
-        distance = self.distance
-        for stream in self._streams:
-            delta = line - stream.last_line
-            if -window <= delta <= window:
-                return stream
-            direction = stream.direction
-            if direction and 0 <= delta * direction <= distance:
-                return stream
-        return None
-
     def on_miss(self, line: int) -> List[int]:
         """Train on an L2 demand miss at *line*; return lines to prefetch."""
         self._clock += 1
-        stream = self._find_stream(line)
+        # The first stream whose range covers the miss trains.
+        for stream in self._streams:
+            if stream.low <= line <= stream.high:
+                break
+        else:
+            stream = None
+        window = self.train_window
         if stream is None:
             if len(self._streams) >= self.entries:
                 victim = self._streams[0]
@@ -80,7 +80,8 @@ class StreamPrefetcher:
                         best = candidate.lru
                         victim = candidate
                 self._streams.remove(victim)
-            stream = _Stream(last_line=line, lru=self._clock)
+            stream = _Stream(line, 0, 0, 0, self._clock,
+                             line - window, line + window)
             self._streams.append(stream)
             self.stats.allocations += 1
             return []
@@ -98,6 +99,11 @@ class StreamPrefetcher:
             stream.confidence = 1
             stream.next_prefetch = line + direction
         stream.last_line = line
+        reach = max(window, self.distance)
+        if direction > 0:
+            stream.low, stream.high = line - window, line + reach
+        else:
+            stream.low, stream.high = line - reach, line + window
 
         if stream.confidence < 2:
             return []

@@ -81,6 +81,8 @@ class Kernel:
         or zero-padded to 4KB).
         """
         frames = []
+        if fill is not None:
+            page = (fill * (PAGE_SIZE // max(1, len(fill)) + 1))[:PAGE_SIZE]
         for i in range(npages):
             vpn = start_vpn + i
             if vpn in process.mappings:
@@ -90,7 +92,6 @@ class Kernel:
             process.mappings[vpn] = ppn
             self.frame_users.setdefault(ppn, set()).add((process.asid, vpn))
             if fill is not None:
-                page = (fill * (PAGE_SIZE // max(1, len(fill)) + 1))[:PAGE_SIZE]
                 self.system.main_memory.write_page(ppn, page)
             frames.append(ppn)
         return frames

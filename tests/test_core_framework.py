@@ -269,6 +269,36 @@ class TestPageCopy:
         assert system.hierarchy.lookup_data(line_tag_of(9, 0)) == b"y" * 64
 
 
+class TestLoad:
+    """OverlaySystem.load is read without the bytes."""
+
+    @staticmethod
+    def drive(system, reader):
+        """Writes, an overlay and reads spanning lines and pages; returns
+        the latency of every read, taken with *reader*."""
+        system.map_page(1, 0x10, 0x99)
+        system.map_page(1, 0x11, 0x9A)
+        system.install_overlay_line(1, 0x10, 5, b"o" * 64)
+        system.write(1, vaddr(0x10, 2, 5), b"hello")
+        latencies = []
+        for address, size in ((vaddr(0x10), 8), (vaddr(0x10, 4, 30), 100),
+                              (vaddr(0x10, 63, 60), 8), (vaddr(0x10, 5), 64),
+                              (vaddr(0x11, 7), 200), (vaddr(0x10), 8)):
+            latencies.append(reader(system, address, size))
+        return latencies
+
+    def test_same_latency_and_counters_as_read(self):
+        read_system, load_system = OverlaySystem(), OverlaySystem()
+        by_read = self.drive(read_system, lambda system, address, size:
+                             system.read(1, address, size)[1])
+        by_load = self.drive(load_system, lambda system, address, size:
+                             system.load(1, address, size))
+        assert by_load == by_read
+        assert (load_system.stats_scope.to_dict()
+                == read_system.stats_scope.to_dict())
+        assert load_system.stats.overlay_hits > 0
+
+
 class TestSerializingEvents:
     def test_flag_is_consumed_once(self, system):
         assert not system.consume_serializing_event()

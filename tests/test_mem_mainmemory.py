@@ -46,6 +46,22 @@ class TestPages:
         memory.write_line(1, 0, b"X" * 64)
         assert memory.read_line(2, 0) == b"c" * 64  # copies are independent
 
+    def test_shared_page_contents_stay_private(self):
+        """Frames written from one bytes object share it until a line
+        write gives one of them its own copy."""
+        memory = MainMemory()
+        page = b"s" * PAGE_SIZE
+        for ppn in (1, 2):
+            memory.write_page(ppn, page)
+        memory.copy_page(2, 3)
+        memory.write_line(2, 5, b"Y" * 64)
+        memory.write_bytes(3, 7, b"Z")
+        assert memory.read_page(1) == page
+        assert memory.read_line(2, 5) == b"Y" * 64
+        assert memory.read_line(2, 4) == b"s" * 64
+        assert memory.read_bytes(3, 6, 3) == b"sZs"
+        assert memory.read_line(3, 5) == b"s" * 64
+
     def test_copy_unwritten_page_is_zero(self):
         memory = MainMemory()
         memory.copy_page(9, 10)

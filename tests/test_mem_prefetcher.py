@@ -1,5 +1,8 @@
 """Unit tests for the stream prefetcher (Table 2 configuration)."""
 
+import pytest
+from hypothesis import given, settings, strategies as st
+
 from repro.mem.prefetcher import StreamPrefetcher
 
 
@@ -73,3 +76,55 @@ class TestCapacity:
         ahead_low = [l for l in issued if 100 < l < 200]
         ahead_high = [l for l in issued if 9000 < l < 9100]
         assert ahead_low and ahead_high
+
+
+def reference_stream(streams, line, window, distance):
+    """The scan on_miss used to make: the first stream whose training
+    window, or whose run of up to `distance` lines ahead in its
+    direction, covers the miss."""
+    for stream in streams:
+        delta = line - stream.last_line
+        if -window <= delta <= window:
+            return stream
+        if stream.direction and 0 <= delta * stream.direction <= distance:
+            return stream
+    return None
+
+
+class TestStreamMatch:
+    """on_miss trains the stream the old two-test scan would pick."""
+
+    @pytest.mark.parametrize("direction", [1, -1])
+    @pytest.mark.parametrize("window, distance", [(4, 24), (6, 2)])
+    def test_range_edges(self, direction, window, distance):
+        """A trained stream covers up to max(window, distance) lines
+        ahead of its last miss and `window` lines behind it."""
+        reach = max(window, distance)
+        for ahead, trains in ((reach, True), (reach + 1, False),
+                              (-window, True), (-window - 1, False)):
+            pf = StreamPrefetcher(distance=distance, train_window=window)
+            train(pf, [1000, 1000 + direction])
+            trainings = pf.stats.trainings
+            pf.on_miss(1000 + direction * (1 + ahead))
+            assert (pf.stats.trainings == trainings + 1) is trains, ahead
+
+    @settings(max_examples=300, deadline=None)
+    @given(st.lists(st.integers(-9, 9), min_size=1, max_size=80),
+           st.integers(0, 3), st.integers(0, 8), st.integers(1, 6))
+    def test_same_stream_as_reference_scan(self, steps, window, distance,
+                                           entries):
+        """Misses on a random walk, whose small steps land on the edges
+        of the streams' windows and runs."""
+        pf = StreamPrefetcher(entries=entries, distance=distance,
+                              train_window=window)
+        line = 1000
+        for step in steps:
+            line += step
+            expected = reference_stream(pf._streams, line, window, distance)
+            trainings = pf.stats.trainings
+            pf.on_miss(line)
+            if expected is None:
+                assert pf.stats.trainings == trainings
+            else:
+                assert pf.stats.trainings == trainings + 1
+                assert expected.lru == pf._clock

@@ -1,7 +1,9 @@
 """Unit tests for the LRU and DRRIP replacement policies."""
 
 import pytest
+from hypothesis import given, settings, strategies as st
 
+from repro.mem.cache import SetAssociativeCache
 from repro.mem.replacement import DRRIPPolicy, LRUPolicy, make_policy
 
 
@@ -101,3 +103,60 @@ class TestDRRIP:
             rrpvs.add(policy._rrpv[follower][0])
         assert DRRIPPolicy.DISTANT_RRPV in rrpvs
         assert DRRIPPolicy.LONG_RRPV in rrpvs
+
+
+def reference_lru_victim(stamps):
+    """The scan LRUPolicy.victim_full used to make: oldest stamp, first
+    of equals."""
+    best_way, best = 0, stamps[0]
+    for way in range(1, len(stamps)):
+        if stamps[way] < best:
+            best, best_way = stamps[way], way
+    return best_way
+
+
+def reference_drrip_victim(rrpvs):
+    """The loop DRRIPPolicy.victim_full used to run: age every way by one
+    until some way reaches MAX_RRPV, then take the first such way."""
+    while True:
+        for way, rrpv in enumerate(rrpvs):
+            if rrpv >= DRRIPPolicy.MAX_RRPV:
+                return way
+        for way in range(len(rrpvs)):
+            rrpvs[way] += 1
+
+
+# Few distinct values, so most vectors hold ties.
+stamp_vectors = st.lists(st.integers(0, 4), min_size=1, max_size=16)
+rrpv_vectors = st.lists(st.integers(0, DRRIPPolicy.MAX_RRPV),
+                        min_size=1, max_size=16)
+
+
+class TestVictimMatchesReferenceLoops:
+    @settings(max_examples=200, deadline=None)
+    @given(stamp_vectors)
+    def test_lru_victim(self, stamps):
+        policy = LRUPolicy(1, len(stamps))
+        policy._last_use[0][:] = stamps
+        assert policy.victim_full(0) == reference_lru_victim(stamps)
+
+    @settings(max_examples=200, deadline=None)
+    @given(stamp_vectors)
+    def test_cache_fill_evicts_the_lru_victim(self, stamps):
+        """SetAssociativeCache.fill inlines the LRU choice."""
+        ways = len(stamps)
+        cache = SetAssociativeCache("T", size_bytes=ways * 64, ways=ways)
+        for tag in range(ways):
+            cache.fill(tag)
+        cache._policy._last_use[0][:] = stamps
+        evicted = cache.fill(ways)
+        assert evicted.tag == reference_lru_victim(stamps)
+
+    @settings(max_examples=200, deadline=None)
+    @given(rrpv_vectors)
+    def test_drrip_victim_and_aging(self, rrpvs):
+        policy = DRRIPPolicy(1, len(rrpvs))
+        policy._rrpv[0][:] = rrpvs
+        expected = list(rrpvs)
+        assert policy.victim_full(0) == reference_drrip_victim(expected)
+        assert policy._rrpv[0] == expected

@@ -22,6 +22,7 @@ import pytest
 from repro.engine import process_state
 from repro.engine.clock import default_max_cycles, set_default_max_cycles
 from repro.engine.tracing import HOOKS
+from repro.eval import fork_experiment
 from repro.obs.trace import Tracer
 from repro.workloads import spec_like
 from repro.workloads.spec_like import (BENCHMARKS, TRACE_MEMO_CAPACITY,
@@ -110,6 +111,7 @@ class TestMigratedSlots:
         for expected in ("repro.engine.tracing.HOOKS",
                          "repro.engine.clock._DEFAULT_MAX_CYCLES",
                          "repro.workloads.spec_like._TRACE_MEMO",
+                         "repro.eval.fork_experiment._SUITE_MEMO",
                          "repro.engine.process_state._GUARDED"):
             assert expected in names, expected
 
@@ -135,6 +137,44 @@ class TestMigratedSlots:
         process_state.reset_all()
         assert process_state.snapshot(
             "repro.workloads.spec_like._TRACE_MEMO") == ()
+
+
+class TestFigureSuiteMemo:
+    """Figures 8 and 9 share one simulation of the default suite."""
+
+    @pytest.fixture
+    def runs(self, monkeypatch):
+        calls = []
+
+        def fake_run_suite():
+            calls.append(object())
+            return [calls[-1]]
+
+        monkeypatch.setattr(fork_experiment, "run_suite", fake_run_suite)
+        return fork_experiment.figure_suite, calls
+
+    def test_second_figure_reuses_the_suite(self, runs):
+        figure_suite, calls = runs
+        assert figure_suite() is figure_suite()
+        assert len(calls) == 1
+        assert process_state.snapshot(
+            "repro.eval.fork_experiment._SUITE_MEMO") == ("default",)
+
+    def test_reset_drops_the_suite(self, runs):
+        figure_suite, calls = runs
+        figure_suite()
+        process_state.reset_all()
+        figure_suite()
+        assert len(calls) == 2
+
+    def test_observed_runs_simulate_afresh(self, runs):
+        figure_suite, calls = runs
+        figure_suite()
+        HOOKS.active = Tracer()
+        traced = figure_suite()
+        assert traced == [calls[1]]
+        HOOKS.active = None
+        assert figure_suite() == [calls[0]]
 
 
 class TestTraceMemoLru:
