@@ -50,10 +50,6 @@ SCHEMA_CONTRACTS = {
                           "repro.obs.schema", "PROFILE_SCHEMA"),
     "repro.robust.campaign": ("run_campaign",
                               "repro.obs.schema", "FAULTS_SCHEMA"),
-    "repro.serve.jobs": ("Job.to_dict",
-                         "repro.obs.schema", "JOB_RECORD_SCHEMA"),
-    "repro.serve.service": ("stats_document",
-                            "repro.obs.schema", "SERVICE_STATS_SCHEMA"),
 }
 
 #: Pairs of module-level tuple/list constants that must stay equal.

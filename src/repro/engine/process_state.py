@@ -23,9 +23,8 @@ levers:
   (``tests/test_process_state.py`` proves this against a real
   subprocess).
 * :func:`fork_guard` — the ``multiprocessing`` worker initializer:
-  resets everything and records that the guard ran, making worker
-  spawn deterministic by construction (pass it as
-  ``Pool(initializer=process_state.fork_guard)``).
+  resets everything, making worker spawn deterministic by construction
+  (pass it as ``Pool(initializer=process_state.fork_guard)``).
 
 simlint's SL007 closes the loop statically: any module-level mutable in
 a ranked sim layer that is mutated from function scope must carry a
@@ -67,9 +66,6 @@ class StateSlot:
 #: slot manages; insertion order is registration (= import) order,
 #: which is what makes reset_all deterministic.
 _SLOTS: Dict[str, StateSlot] = {}
-
-#: Whether :func:`fork_guard` has run in this process (worker marker).
-_GUARDED: bool = False
 
 
 def register(name: str, *, snapshot: Callable[[], Any],
@@ -144,39 +140,5 @@ def fork_guard() -> Tuple[str, ...]:
     belt-and-braces call under ``spawn``).  Returns the names it reset
     so callers can log coverage.
     """
-    global _GUARDED
     reset_all()
-    _GUARDED = True
     return registered()
-
-
-def guarded() -> bool:
-    """Whether :func:`fork_guard` has run in this process."""
-    return _GUARDED
-
-
-def ensure_guarded() -> Tuple[str, ...]:
-    """Run :func:`fork_guard` unless it already ran in this process.
-
-    Worker entry points call this first thing: a pool worker whose
-    initializer already guarded it skips the double reset (which would
-    wipe state the attempt just armed), while a bare
-    ``multiprocessing.Process`` body — the job service's per-attempt
-    workers — gets the same fresh-interpreter guarantee the fleet's
-    initializer provides.  Returns the slot names in effect.
-    """
-    if _GUARDED:
-        return registered()
-    return fork_guard()
-
-
-def _reset_guard_marker() -> None:
-    global _GUARDED
-    _GUARDED = False
-
-
-# The registry's own bookkeeping is process state too; the guard marker
-# participates so snapshot_all/reset_all see it.  (The slot table
-# itself is append-only registration metadata, not run state.)
-register("repro.engine.process_state._GUARDED",
-         snapshot=lambda: _GUARDED, reset=_reset_guard_marker)

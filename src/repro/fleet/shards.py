@@ -40,7 +40,6 @@ SHARD_RUNNERS: Dict[str, Any] = {
     "fault_trial": ("repro.robust.campaign", "run_fault_trial_shard"),
     "sparsity_point": ("repro.eval.sparsity_sweep",
                        "run_sparsity_point_shard"),
-    "service_probe": ("repro.serve.probe", "run_probe_shard"),
 }
 
 

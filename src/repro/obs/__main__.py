@@ -11,9 +11,8 @@ Usage::
 ``validate`` routes each file by suffix — ``*.trace.json`` to the
 Chrome-trace shape, ``*.metrics.json`` to the time-series schema,
 ``*.profile.json`` to the cycle-accounting schema, ``*.faults.json``
-to the fault-campaign schema, ``*.queue.json`` / ``*.stats.json`` /
-``*.endpoint.json`` to the job-service schemas, everything else to the
-full run-document schema — and exits nonzero if any artifact fails;
+to the fault-campaign schema, everything else to the full run-document
+schema — and exits nonzero if any artifact fails;
 this is the CI gate for uploaded artifacts.
 
 ``compare`` prints a differential report of two documents' numeric
@@ -39,9 +38,7 @@ from .compare import (compare_files, flatten_document, format_compare,
 from .metrics import format_metrics
 from .profile import format_profile
 from .schema import (FAULTS_SCHEMA, METRICS_SCHEMA, PROFILE_SCHEMA,
-                     RUN_SCHEMA, SERVICE_ENDPOINT_SCHEMA,
-                     SERVICE_QUEUE_SCHEMA, SERVICE_STATS_SCHEMA,
-                     schema_errors)
+                     RUN_SCHEMA, schema_errors)
 
 _CHROME_TRACE_SCHEMA = {
     "type": "object",
@@ -75,12 +72,6 @@ def schema_for(path: Path):
         return PROFILE_SCHEMA
     if path.name.endswith(".faults.json"):
         return FAULTS_SCHEMA
-    if path.name.endswith(".queue.json"):
-        return SERVICE_QUEUE_SCHEMA
-    if path.name.endswith(".stats.json"):
-        return SERVICE_STATS_SCHEMA
-    if path.name.endswith(".endpoint.json"):
-        return SERVICE_ENDPOINT_SCHEMA
     return RUN_SCHEMA
 
 
@@ -136,7 +127,11 @@ def _cmd_compare(args: List[str]) -> int:
             if index >= len(args):
                 print(f"--threshold needs a value\n{__doc__}")
                 return 2
-            default = float(args[index])
+            try:
+                default = float(args[index])
+            except ValueError:
+                print(f"--threshold needs a percent, got {args[index]!r}")
+                return 2
             index += 1
         elif arg == "--thresholds":
             # Consume the following spec-shaped tokens (pattern=pct or a

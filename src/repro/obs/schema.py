@@ -232,117 +232,6 @@ FAULTS_SCHEMA: Dict[str, Any] = {
 }
 
 
-#: Lifecycle states of one job in the ``repro.serve`` job service.
-#: Owned here (not in serve) so the schema layer never imports upward;
-#: serve imports the tuple, keeping the two in lockstep by reference.
-JOB_STATES = ("queued", "running", "done", "failed", "timed_out",
-              "cancelled")
-
-#: Schema of a ``POST /jobs`` submission body: the shard kind and
-#: params, plus optional SystemConfig overrides and execution limits.
-JOB_SCHEMA: Dict[str, Any] = {
-    "type": "object",
-    "required": ["kind", "params"],
-    "properties": {
-        "kind": {"type": "string"},
-        "params": {"type": "object"},
-        "config": {"type": "object"},
-        "run": {"type": "string"},
-        "seed": {"type": ["integer", "null"]},
-        "max_sim_cycles": {"type": ["integer", "null"], "minimum": 1},
-        "timeout_seconds": {"type": ["number", "null"], "minimum": 0},
-    },
-    "additionalProperties": False,
-}
-
-#: Schema of one job record: the ``GET /jobs/<id>`` response body and
-#: the entries of the persisted service queue.  The manifest is the
-#: deterministic half, so a record round-trips byte-identically.
-JOB_RECORD_SCHEMA: Dict[str, Any] = {
-    "type": "object",
-    "required": ["job_id", "kind", "state", "attempts", "key", "params",
-                 "manifest", "error", "cached", "max_sim_cycles",
-                 "timeout_seconds"],
-    "properties": {
-        "job_id": {"type": "string"},
-        "kind": {"type": "string"},
-        "state": {"type": "string", "enum": list(JOB_STATES)},
-        "attempts": {"type": "integer", "minimum": 0},
-        "key": {"type": "string"},
-        "params": {"type": "object"},
-        "manifest": DETERMINISTIC_MANIFEST_SCHEMA,
-        "error": {"type": ["string", "null"]},
-        "cached": {"type": "boolean"},
-        "max_sim_cycles": {"type": ["integer", "null"], "minimum": 1},
-        "timeout_seconds": {"type": ["number", "null"], "minimum": 0},
-    },
-    "additionalProperties": False,
-}
-
-#: Schema of the crash-safe ``*.queue.json`` the service persists on
-#: every queue mutation and restores (validated) on restart.
-SERVICE_QUEUE_SCHEMA: Dict[str, Any] = {
-    "type": "object",
-    "required": ["service_format", "jobs"],
-    "properties": {
-        "service_format": {"type": "integer", "minimum": 1},
-        "jobs": {"type": "array", "items": JOB_RECORD_SCHEMA},
-    },
-    "additionalProperties": False,
-}
-
-#: Schema of the ``GET /stats`` document: service-level counters plus
-#: the engine :class:`~repro.engine.stats.StatsRegistry` tree.
-SERVICE_STATS_SCHEMA: Dict[str, Any] = {
-    "type": "object",
-    "required": ["service", "registry"],
-    "properties": {
-        "service": {
-            "type": "object",
-            "required": ["workers", "queue_bound", "queue_depth",
-                         "running", "degraded", "draining", "submitted",
-                         "completed", "failed", "timed_out", "cancelled",
-                         "retries", "timeouts", "rejections",
-                         "cache_hits", "worker_deaths"],
-            "properties": {
-                "workers": {"type": "integer", "minimum": 1},
-                "queue_bound": {"type": "integer", "minimum": 1},
-                "queue_depth": {"type": "integer", "minimum": 0},
-                "running": {"type": "integer", "minimum": 0},
-                "degraded": {"type": "boolean"},
-                "draining": {"type": "boolean"},
-                "submitted": {"type": "integer", "minimum": 0},
-                "completed": {"type": "integer", "minimum": 0},
-                "failed": {"type": "integer", "minimum": 0},
-                "timed_out": {"type": "integer", "minimum": 0},
-                "cancelled": {"type": "integer", "minimum": 0},
-                "retries": {"type": "integer", "minimum": 0},
-                "timeouts": {"type": "integer", "minimum": 0},
-                "rejections": {"type": "integer", "minimum": 0},
-                "cache_hits": {"type": "integer", "minimum": 0},
-                "worker_deaths": {"type": "integer", "minimum": 0},
-            },
-            "additionalProperties": False,
-        },
-        "registry": STATS_SCHEMA,
-    },
-    "additionalProperties": False,
-}
-
-#: Schema of the ``*.endpoint.json`` a started service writes so
-#: subprocess clients (tests, CI curl smoke) can find its bound port.
-SERVICE_ENDPOINT_SCHEMA: Dict[str, Any] = {
-    "type": "object",
-    "required": ["host", "port", "pid"],
-    "properties": {
-        "host": {"type": "string"},
-        "port": {"type": "integer", "minimum": 1},
-        "pid": {"type": "integer", "minimum": 1},
-    },
-    "additionalProperties": False,
-}
-
-
 class SchemaError(ValueError):
     """Raised when a document does not match its schema."""
 

@@ -1,13 +1,4 @@
-"""Fault-injection campaign CLI.
-
-Usage::
-
-    python -m repro.robust [--name NAME] [--rates R1,R2,...]
-                           [--trials N] [--ops N] [--pages N]
-                           [--cores N] [--ecc secded|parity|none]
-                           [--check-interval CYCLES] [--no-recover]
-                           [--seed N] [--results-dir DIR]
-                           [--fleet-workers N] [--resume]
+"""Fault-injection campaign CLI: ``python -m repro.robust [options]``.
 
 Runs a deterministic fault-injection campaign over the page-overlay
 machine: for each rate multiplier, ``--trials`` seeded trials execute a
@@ -34,14 +25,26 @@ shard-level cached/executed split).
 
 from __future__ import annotations
 
-import sys
-from typing import List, Optional
+import argparse
+from typing import List, Optional, Sequence
 
-from .campaign import OUTCOMES, run_campaign
+from .campaign import OUTCOMES, check_rates, run_campaign
 from .faults import ECC_MODES
 
 #: The stock sweep: from faults-almost-never to faults-constantly.
 DEFAULT_RATES = (0.0, 0.002, 0.01, 0.05)
+
+
+def _rate_list(text: str) -> List[float]:
+    try:
+        rates = [float(token) for token in text.split(",") if token]
+    except ValueError:
+        raise argparse.ArgumentTypeError(
+            f"needs comma-separated numbers, got {text!r}") from None
+    try:
+        return check_rates(rates)
+    except ValueError as error:
+        raise argparse.ArgumentTypeError(str(error)) from None
 
 
 def _format_summary(doc) -> str:
@@ -60,107 +63,68 @@ def _format_summary(doc) -> str:
     return "\n".join(lines)
 
 
-def main(argv=None) -> int:
-    args = list(sys.argv[1:] if argv is None else argv)
-    name = "fault_campaign"
-    rates: Optional[List[float]] = None
-    trials, ops, pages, cores = 4, 160, 4, 2
-    ecc = "secded"
-    check_interval = 0
-    recover = True
-    seed: Optional[int] = None
-    results_dir = None
-    fleet_workers: Optional[int] = None
-    resume = False
+def _parser() -> argparse.ArgumentParser:
+    parser = argparse.ArgumentParser(
+        prog="python -m repro.robust", description=__doc__,
+        formatter_class=argparse.RawDescriptionHelpFormatter,
+        allow_abbrev=False)
+    parser.add_argument("--name", default="fault_campaign",
+                        help="campaign name: the artifact is "
+                             "<results-dir>/<name>.faults.json")
+    parser.add_argument("--rates", type=_rate_list, default=DEFAULT_RATES,
+                        metavar="R1,R2,...",
+                        help="fault-rate multipliers, finite and "
+                             "non-negative (default: "
+                             f"{','.join(map(str, DEFAULT_RATES))})")
+    parser.add_argument("--trials", type=int, default=4, metavar="N",
+                        help="seeded trials per rate (default: 4)")
+    parser.add_argument("--ops", type=int, default=160, metavar="N",
+                        help="workload operations per trial (default: 160)")
+    parser.add_argument("--pages", type=int, default=4, metavar="N",
+                        help="pages the workload touches (default: 4)")
+    parser.add_argument("--cores", type=int, default=2, metavar="N",
+                        help="cores per machine (default: 2)")
+    parser.add_argument("--ecc", choices=ECC_MODES, default="secded",
+                        help="DRAM ECC model (default: secded)")
+    parser.add_argument("--check-interval", type=int, default=0,
+                        metavar="CYCLES",
+                        help="invariant sweep period in simulated cycles "
+                             "(default: 0)")
+    parser.add_argument("--no-recover", dest="recover",
+                        action="store_false",
+                        help="detect violations without repairing them")
+    parser.add_argument("--seed", type=int, default=None, metavar="N",
+                        help="base RNG seed (default: the config's)")
+    parser.add_argument("--results-dir", default=None, metavar="DIR",
+                        help="artifact directory (default: results)")
+    parser.add_argument("--fleet-workers", type=int, default=None,
+                        metavar="N",
+                        help="shard the trials over N worker processes "
+                             "(0 = auto)")
+    parser.add_argument("--resume", action="store_true",
+                        help="reuse the shard artifacts of a previous run")
+    return parser
 
-    def _take(flag: str) -> Optional[str]:
-        nonlocal i
-        i += 1
-        if i >= len(args):
-            print(f"{flag} requires a value\n{__doc__}")
-            return None
-        return args[i]
 
-    i = 0
-    while i < len(args):
-        arg = args[i]
-        if arg in ("-h", "--help"):
-            print(__doc__)
-            return 0
-        elif arg == "--name":
-            value = _take(arg)
-            if value is None:
-                return 2
-            name = value
-        elif arg == "--rates":
-            value = _take(arg)
-            if value is None:
-                return 2
-            try:
-                rates = [float(token) for token in value.split(",") if token]
-            except ValueError:
-                print(f"--rates needs comma-separated numbers, got {value!r}")
-                return 2
-        elif arg in ("--trials", "--ops", "--pages", "--cores",
-                     "--check-interval", "--seed", "--fleet-workers"):
-            value = _take(arg)
-            if value is None:
-                return 2
-            try:
-                number = int(value)
-            except ValueError:
-                print(f"{arg} needs an integer, got {value!r}")
-                return 2
-            if arg == "--trials":
-                trials = number
-            elif arg == "--ops":
-                ops = number
-            elif arg == "--pages":
-                pages = number
-            elif arg == "--cores":
-                cores = number
-            elif arg == "--check-interval":
-                check_interval = number
-            elif arg == "--fleet-workers":
-                if number < 0:
-                    print("--fleet-workers must be >= 0 (0 = auto)")
-                    return 2
-                fleet_workers = number
-            else:
-                seed = number
-        elif arg == "--ecc":
-            value = _take(arg)
-            if value is None:
-                return 2
-            if value not in ECC_MODES:
-                print(f"--ecc must be one of {', '.join(ECC_MODES)}")
-                return 2
-            ecc = value
-        elif arg == "--no-recover":
-            recover = False
-        elif arg == "--resume":
-            resume = True
-        elif arg == "--results-dir":
-            value = _take(arg)
-            if value is None:
-                return 2
-            results_dir = value
-        else:
-            print(f"unknown option {arg}\n{__doc__}")
-            return 2
-        i += 1
-
-    if min(trials, ops, pages, cores) < 1 or check_interval < 0:
-        print("--trials/--ops/--pages/--cores must be positive and "
-              "--check-interval non-negative")
-        return 2
-    fleet_summary = {} if fleet_workers is not None else None
-    doc = run_campaign(name, rates if rates is not None else DEFAULT_RATES,
-                       trials=trials, ops=ops, pages=pages, cores=cores,
-                       ecc=ecc, check_interval=check_interval,
-                       recover=recover, seed=seed,
-                       results_dir=results_dir,
-                       fleet_workers=fleet_workers, resume=resume,
+def main(argv: Optional[Sequence[str]] = None) -> int:
+    parser = _parser()
+    try:
+        args = parser.parse_args(argv)
+        if min(args.trials, args.ops, args.pages, args.cores) < 1 \
+                or args.check_interval < 0:
+            parser.error("--trials/--ops/--pages/--cores must be positive "
+                         "and --check-interval non-negative")
+        if args.fleet_workers is not None and args.fleet_workers < 0:
+            parser.error("--fleet-workers must be >= 0 (0 = auto)")
+    except SystemExit as stop:  # --help (0) or a usage error (2)
+        return stop.code
+    fleet_summary = {} if args.fleet_workers is not None else None
+    doc = run_campaign(args.name, args.rates, trials=args.trials,
+                       ops=args.ops, pages=args.pages, cores=args.cores,
+                       ecc=args.ecc, check_interval=args.check_interval,
+                       recover=args.recover, seed=args.seed,
+                       results_dir=args.results_dir,
+                       fleet_workers=args.fleet_workers, resume=args.resume,
                        fleet_summary=fleet_summary)
     print(_format_summary(doc))
     if fleet_summary:
@@ -171,7 +135,7 @@ def main(argv=None) -> int:
               f"{fleet_summary['workers']} worker(s)"
               + (f", {corrupt} corrupt artifact(s) recomputed"
                  if corrupt else "") + "]")
-    print(f"[wrote {(results_dir or 'results')}/{name}.faults.json]")
+    print(f"[wrote {(args.results_dir or 'results')}/{args.name}.faults.json]")
     return 0
 
 

@@ -43,6 +43,7 @@ byte-identical to the serial path's; the CI fleet job asserts this.
 
 from __future__ import annotations
 
+import math
 from pathlib import Path
 from typing import Any, Dict, List, Optional, Sequence, Tuple
 
@@ -337,6 +338,23 @@ def run_fault_trial_shard(shard: Shard) -> Dict[str, Any]:
     return record
 
 
+def check_rates(rates: Sequence[float]) -> Sequence[float]:
+    """Return *rates* if they form a valid sweep, else raise ValueError.
+
+    A sweep needs at least one rate, and every rate is a finite,
+    non-negative multiplier: a NaN would arm every fault site (the
+    scaled rate clamps to 1.0) and could not be written as JSON, and a
+    negative one is not a probability.
+    """
+    if not rates:
+        raise ValueError("a fault campaign needs at least one rate")
+    bad = [rate for rate in rates if not (math.isfinite(rate) and rate >= 0)]
+    if bad:
+        raise ValueError(f"fault rates must be finite and non-negative, "
+                         f"got {', '.join(map(str, bad))}")
+    return rates
+
+
 def run_campaign(name: str, rates: Sequence[float], *, trials: int = 4,
                  ops: int = 160, pages: int = 4, cores: int = 2,
                  ecc: str = "secded", check_interval: int = 0,
@@ -360,8 +378,10 @@ def run_campaign(name: str, rates: Sequence[float], *, trials: int = 4,
     ``<results_dir>/fleet/<name>/`` — and merge into the byte-identical
     serial document.  *resume* reuses artifacts a previous run (killed
     or complete) left in that cache; pass a dict as *fleet_summary* to
-    receive the shard/hit/miss/worker counters.
+    receive the shard/hit/miss/worker counters.  Bad *rates* (see
+    :func:`check_rates`) raise ValueError before any trial runs.
     """
+    check_rates(rates)
     config = config or DEFAULT_CONFIG
     base = base_plan or DEFAULT_BASE_PLAN
     base = FaultPlan(ecc=ecc, seed=base.seed, stream=base.stream,

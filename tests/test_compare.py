@@ -155,6 +155,7 @@ class TestCli:
         assert obs_cli([]) == 2
         assert obs_cli(["compare", "only-one.json"]) == 2
         assert obs_cli(["compare", "--bogus", "a", "b"]) == 2
+        assert obs_cli(["compare", "--threshold", "abc", "a", "b"]) == 2
         missing = tmp_path / "nope.json"
         assert obs_cli(["compare", str(missing), str(missing)]) == 2
 

@@ -92,17 +92,9 @@ class TestRegistryApi:
                      snapshot=lambda: box["value"],
                      reset=lambda: box.update(value=0))
         box["value"] = 3
-        assert not process_state.guarded()
         names = process_state.fork_guard()
         assert box["value"] == 0
-        assert process_state.guarded()
         assert "tests.scratch.guarded" in names
-        # The guard marker is itself a slot, visible in snapshots...
-        assert process_state.snapshot_all()[
-            "repro.engine.process_state._GUARDED"] is True
-        # ...and reset_all clears it again.
-        process_state.reset_all()
-        assert not process_state.guarded()
 
 
 class TestMigratedSlots:
@@ -111,8 +103,7 @@ class TestMigratedSlots:
         for expected in ("repro.engine.tracing.HOOKS",
                          "repro.engine.clock._DEFAULT_MAX_CYCLES",
                          "repro.workloads.spec_like._TRACE_MEMO",
-                         "repro.eval.fork_experiment._SUITE_MEMO",
-                         "repro.engine.process_state._GUARDED"):
+                         "repro.eval.fork_experiment._SUITE_MEMO"):
             assert expected in names, expected
 
     def test_hooks_slot_round_trip(self):
@@ -252,4 +243,3 @@ class TestForkReadiness:
         assert snap["repro.engine.tracing.HOOKS"] == (False, False, False)
         assert snap["repro.engine.clock._DEFAULT_MAX_CYCLES"] is None
         assert snap["repro.workloads.spec_like._TRACE_MEMO"] == ()
-        assert snap["repro.engine.process_state._GUARDED"] is False

@@ -175,6 +175,13 @@ class TestCampaign:
         with pytest.raises(SchemaError, match="unknown key"):
             validate(doc, FAULTS_SCHEMA)
 
+    def test_bad_rates_rejected_before_any_trial(self, tmp_path):
+        for rates in ((), (0.0, float("nan")), (-0.5,), (float("inf"),)):
+            with pytest.raises(ValueError, match="rate"):
+                run_campaign("bad", rates, trials=1, ops=30, pages=2,
+                             results_dir=tmp_path)
+        assert list(tmp_path.iterdir()) == []
+
     def test_manifest_half_is_deterministic(self, tmp_path):
         doc = run_campaign("det", (0.0,), trials=1, ops=30, pages=2,
                            seed=3, results_dir=tmp_path)
@@ -209,6 +216,9 @@ class TestCli:
 
     def test_bad_arguments(self, capsys):
         assert robust_cli(["--rates", "a,b"]) == 2
+        assert robust_cli(["--rates", "nan"]) == 2
+        assert robust_cli(["--rates", ","]) == 2
+        assert robust_cli(["--rates", "-0.5"]) == 2
         assert robust_cli(["--trials", "x"]) == 2
         assert robust_cli(["--trials", "0"]) == 2
         assert robust_cli(["--ecc", "bogus"]) == 2
